@@ -5,11 +5,15 @@
  * A SimObserver attached through SimOptions::checker (or the
  * SimOptions::observers chain) is driven by TimingSim at every steer,
  * issue, commit and cycle boundary — plus the stall events each stage
- * reports — with a read-only CoreView of the machine state. The core
- * knows nothing about concrete observers; the pipeline invariant
- * checker in src/verify and the interval profiler in src/obs implement
- * this interface, keeping both subsystems out of the core's dependency
- * graph (mirroring how CommitListener decouples predictor training).
+ * reports — with a read-only CoreView of the machine state. Idle
+ * cycles the core skips ahead over still reach observers: TimingSim
+ * replays their stall and cycle-end hooks one cycle at a time, with
+ * view.now() on that cycle, so every observer sees the same event
+ * stream a densely stepped run produces. The core knows nothing about
+ * concrete observers; the pipeline invariant checker in src/verify and
+ * the interval profiler in src/obs implement this interface, keeping
+ * both subsystems out of the core's dependency graph (mirroring how
+ * CommitListener decouples predictor training).
  */
 
 #ifndef CSIM_CORE_SIM_OBSERVER_HH

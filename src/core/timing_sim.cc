@@ -405,12 +405,7 @@ TimingSim::run()
         static_cast<std::uint64_t>(options_.maxCpi) * n + 100000;
 
     now_ = 0;
-    // Observers receive per-cycle hooks, so observed runs must visit
-    // every cycle; bare runs ride the skip-ahead.
-    if (options_.legacyStep || !observers_.empty())
-        runDense(cycle_limit);
-    else
-        runSkipAhead(cycle_limit);
+    runSkipAhead(cycle_limit);
 
     for (Cluster &cluster : clusters_)
         cluster.finishOccupancy(now_);
@@ -467,23 +462,6 @@ TimingSim::run()
 }
 
 void
-TimingSim::runDense(std::uint64_t cycle_limit)
-{
-    const std::uint64_t n = soa_.size();
-    while (commitIdx_ < n) {
-        doIssue();
-        doCommit();
-        doSteer();
-        doFetch();
-        for (SimObserver *obs : observers_)
-            obs->onCycleEnd(*this);
-        ++now_;
-        if (now_ > cycle_limit)
-            stuckPanic();
-    }
-}
-
-void
 TimingSim::runSkipAhead(std::uint64_t cycle_limit)
 {
     const std::uint64_t n = soa_.size();
@@ -492,8 +470,9 @@ TimingSim::runSkipAhead(std::uint64_t cycle_limit)
     // machine going idle pays one densely stepped idle cycle before
     // the span check fires. Stepping that first idle cycle densely is
     // stat-exact — a truly idle cycle's dense bookkeeping (the zero-
-    // ILP bucket, the blocked-stage stall counters) is precisely what
-    // skipTo() folds per skipped cycle.
+    // ILP bucket, the blocked-stage stall counters, the observer
+    // hooks) is precisely what skipTo() folds or replays per skipped
+    // cycle. legacyStep turns the probe off, so every cycle steps.
     bool quiet = true;
     while (commitIdx_ < n) {
         Cycle skip_target = now_;
@@ -501,7 +480,7 @@ TimingSim::runSkipAhead(std::uint64_t cycle_limit)
             // One scope per dense batch, never per cycle.
             HOST_PROF_SCOPE("sim.step.dense");
             while (commitIdx_ < n) {
-                if (quiet) {
+                if (quiet && !options_.legacyStep) {
                     skip_target = idleSkipTarget();
                     if (skip_target != now_)
                         break;
@@ -512,6 +491,8 @@ TimingSim::runSkipAhead(std::uint64_t cycle_limit)
                 doCommit();
                 doSteer();
                 doFetch();
+                for (SimObserver *obs : observers_)
+                    obs->onCycleEnd(*this);
                 quiet = issued == 0 &&
                     commitIdx_ + steerIdx_ + fetchIdx_ == cursors;
                 ++now_;
@@ -612,19 +593,40 @@ TimingSim::skipTo(Cycle target, std::uint64_t cycle_limit)
         ilpCycles_[0] += span;
 
     const std::uint64_t n = soa_.size();
+    bool steer_blocked = false;
+    SteerStallCause cause = SteerStallCause::RobFull;
     if (steerIdx_ < n) {
         const InstTiming &s = timing_[steerIdx_];
         if (s.fetch != invalidCycle &&
             s.fetch + config_.frontendDepth <= now_) {
-            if (steerIdx_ - commitIdx_ >= config_.robEntries)
+            if (steerIdx_ - commitIdx_ >= config_.robEntries) {
                 *statRobFullCycles_ += span;
-            else if (freeWindowsTotal_ == 0)
+                steer_blocked = true;
+            } else if (freeWindowsTotal_ == 0) {
                 *statAllWindowsFullCycles_ += span;
+                steer_blocked = true;
+                cause = SteerStallCause::WindowFull;
+            }
         }
     }
     if (fetchStalled_)
         *statFetchStallCycles_ += span;
 
+    // Observers see each skipped cycle exactly as dense stepping
+    // would show it: the same stall hooks in stage order, then the
+    // cycle end, with now() on that cycle.
+    if (!observers_.empty()) {
+        for (; now_ < target; ++now_) {
+            if (steer_blocked)
+                for (SimObserver *obs : observers_)
+                    obs->onSteerStall(*this, cause);
+            if (fetchStalled_)
+                for (SimObserver *obs : observers_)
+                    obs->onFetchStall(*this);
+            for (SimObserver *obs : observers_)
+                obs->onCycleEnd(*this);
+        }
+    }
     now_ = target;
     ++skipSpans_;
     skipCycles_ += span;

@@ -75,13 +75,10 @@ struct SimOptions
     /** Collect the per-cycle available/achieved ILP data (Fig. 15). */
     bool collectIlp = false;
     /**
-     * Escape hatch: step every cycle densely instead of using the
-     * event-driven skip-ahead. Results are identical either way (the
-     * fuzzer's differential check enforces it); dense stepping is only
-     * useful as the reference half of that comparison and when
-     * bisecting a suspected skip-ahead bug. Runs with observers
-     * attached always step densely, because per-cycle hooks must fire
-     * on every cycle.
+     * Turn the idle probe off, so the one cycle loop steps every cycle
+     * instead of skipping idle spans. Results, stats and observer hook
+     * streams are identical either way; this is the dense reference
+     * the fuzzer and the skip-vs-dense tests compare against.
      */
     bool legacyStep = false;
     /** Largest available-ILP bucket tracked. */
@@ -168,8 +165,8 @@ class TimingSim : public CoreView
     }
     Addr pcOf(InstId id) const override { return soaPc_[id]; }
 
-    /** Idle spans jumped over by the event-driven skip-ahead (0 when
-     *  the run stepped densely: legacyStep or observers attached). */
+    /** Idle spans jumped over by the event-driven skip-ahead (0 under
+     *  legacyStep). */
     std::uint64_t skipSpans() const { return skipSpans_; }
     /** Cycles those spans covered (their stats were folded in bulk). */
     std::uint64_t skipCycles() const { return skipCycles_; }
@@ -204,7 +201,6 @@ class TimingSim : public CoreView
      *  next boundary. */
     void closePhase(Cycle end_exclusive);
 
-    void runDense(std::uint64_t cycle_limit);
     void runSkipAhead(std::uint64_t cycle_limit);
     /** Returns the number of instructions issued this cycle (the
      *  skip-ahead's quiet-cycle gate reads it; the stage cursors
@@ -224,8 +220,8 @@ class TimingSim : public CoreView
     Cycle idleSkipTarget() const;
 
     /** Jump now_ to `target`, folding the skipped span's per-cycle
-     *  stats (occupancy samples, ILP idle bucket, stall counters) in
-     *  one shot. */
+     *  stats (ILP idle bucket, stall counters) in one shot and
+     *  replaying its per-cycle hooks to any observers. */
     void skipTo(Cycle target, std::uint64_t cycle_limit);
 
     [[noreturn]] void stuckPanic();

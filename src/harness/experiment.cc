@@ -209,10 +209,10 @@ runPolicy(const Trace &trace, const MachineConfig &machine,
     PolicyStack stack = makeStack(trace, kind, cfg);
 
     // Warmup passes train the predictors across the whole trace.
-    // They honor the stepping-mode escape hatch so a --legacy-step
-    // run is dense end to end, but carry no observers or collection
-    // options: training must see the same machine either way. With
-    // phases configured the in-run warmup phase takes over this job
+    // They honor legacyStep so a dense reference run is dense end to
+    // end, but carry no observers or collection options: training
+    // must see the same machine either way. With phases configured
+    // the in-run warmup phase takes over this job
     // (training runs during the whole measured pass anyway), so the
     // discarded full passes — previously the dominant cost of a
     // warmed cell — are skipped entirely.

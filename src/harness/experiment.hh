@@ -240,7 +240,7 @@ struct PolicyRun
     /** Adaptive decision lane (cfg.adaptive.enabled). */
     std::vector<AdaptiveLanePoint> adaptiveLane;
     /** Idle spans the measured run's skip-ahead jumped over (always 0
-     *  under --legacy-step or with observers attached). */
+     *  under simOptions.legacyStep). */
     std::uint64_t skipSpans = 0;
     /** Cycles those spans covered. */
     std::uint64_t skipCycles = 0;

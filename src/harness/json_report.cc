@@ -215,8 +215,7 @@ usage(const std::string &benchmark, const char *bad_arg)
                  "[--adaptive] [--adaptive-interval N]\n"
                  "       [--trace-out <path>] [--ledger-out <path>] "
                  "[--heartbeat-ms N]\n"
-                 "       [--stats-filter p1,p2]\n"
-                 "       [--legacy-step] [--regions K] "
+                 "       [--stats-filter p1,p2] [--regions K] "
                  "[--region-len N] [--warmup N]\n",
                  benchmark.c_str());
     if (bad_arg)
@@ -226,7 +225,7 @@ usage(const std::string &benchmark, const char *bad_arg)
 }
 
 std::vector<std::uint64_t>
-parseSeedList(const std::string &benchmark, const std::string &arg)
+parseSeedList(const std::string &arg)
 {
     std::vector<std::uint64_t> seeds;
     std::size_t pos = 0;
@@ -234,13 +233,8 @@ parseSeedList(const std::string &benchmark, const std::string &arg)
         std::size_t comma = arg.find(',', pos);
         if (comma == std::string::npos)
             comma = arg.size();
-        const std::string tok = arg.substr(pos, comma - pos);
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-        if (tok.empty() || end == nullptr || *end != '\0')
-            CSIM_FATAL_F("%s: bad --seeds entry '%s'",
-                         benchmark.c_str(), tok.c_str());
-        seeds.push_back(v);
+        seeds.push_back(parseDecimal(arg.substr(pos, comma - pos),
+                                     "--seeds", 0, UINT64_MAX));
         pos = comma + 1;
     }
     return seeds;
@@ -293,42 +287,28 @@ BenchContext::BenchContext(std::string benchmark, int argc, char **argv)
                 usage(benchmark_, arg.c_str());
             return argv[++i];
         };
+        auto number = [&](std::uint64_t hi) {
+            return parseDecimal(next(), arg.c_str(), 1, hi);
+        };
         if (arg == "--json") {
             jsonPath_ = next();
         } else if (arg == "--instructions") {
-            const std::string v = next();
-            char *end = nullptr;
-            instructions_ = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || instructions_ == 0)
-                CSIM_FATAL_F("%s: bad --instructions '%s'",
-                             benchmark_.c_str(), v.c_str());
+            instructions_ = number(UINT64_MAX);
         } else if (arg == "--threads") {
             threadsArg_ = parseThreadCount(next(), "--threads");
         } else if (arg == "--seeds") {
-            seeds_ = parseSeedList(benchmark_, next());
+            seeds_ = parseSeedList(next());
         } else if (arg == "--check") {
             check_ = true;
-        } else if (arg == "--legacy-step") {
-            legacyStep_ = true;
         } else if (arg == "--profile") {
             profile_ = true;
         } else if (arg == "--profile-interval") {
-            const std::string v = next();
-            char *end = nullptr;
-            profileInterval_ = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || profileInterval_ == 0)
-                CSIM_FATAL_F("%s: bad --profile-interval '%s'",
-                             benchmark_.c_str(), v.c_str());
+            profileInterval_ = number(UINT64_MAX);
             profile_ = true;
         } else if (arg == "--adaptive") {
             adaptive_ = true;
         } else if (arg == "--adaptive-interval") {
-            const std::string v = next();
-            char *end = nullptr;
-            adaptiveInterval_ = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || adaptiveInterval_ == 0)
-                CSIM_FATAL_F("%s: bad --adaptive-interval '%s'",
-                             benchmark_.c_str(), v.c_str());
+            adaptiveInterval_ = number(UINT64_MAX);
             adaptive_ = true;
         } else if (arg == "--trace-out") {
             traceOutPath_ = next();
@@ -336,40 +316,15 @@ BenchContext::BenchContext(std::string benchmark, int argc, char **argv)
         } else if (arg == "--ledger-out") {
             ledgerPath_ = next();
         } else if (arg == "--heartbeat-ms") {
-            const std::string v = next();
-            char *end = nullptr;
-            const unsigned long long ms =
-                std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || ms == 0 ||
-                ms > 3600u * 1000u)
-                CSIM_FATAL_F("%s: bad --heartbeat-ms '%s'",
-                             benchmark_.c_str(), v.c_str());
-            heartbeatMs_ = static_cast<unsigned>(ms);
+            heartbeatMs_ = static_cast<unsigned>(number(3600u * 1000u));
         } else if (arg == "--stats-filter") {
             statsFilter_ = parsePrefixList(next());
         } else if (arg == "--regions") {
-            const std::string v = next();
-            char *end = nullptr;
-            const unsigned long long k =
-                std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || k == 0 || k > 1u << 20)
-                CSIM_FATAL_F("%s: bad --regions '%s'",
-                             benchmark_.c_str(), v.c_str());
-            regions_ = static_cast<unsigned>(k);
+            regions_ = static_cast<unsigned>(number(1u << 20));
         } else if (arg == "--region-len") {
-            const std::string v = next();
-            char *end = nullptr;
-            regionLen_ = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || regionLen_ == 0)
-                CSIM_FATAL_F("%s: bad --region-len '%s'",
-                             benchmark_.c_str(), v.c_str());
+            regionLen_ = number(UINT64_MAX);
         } else if (arg == "--warmup") {
-            const std::string v = next();
-            char *end = nullptr;
-            warmup_ = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || warmup_ == 0)
-                CSIM_FATAL_F("%s: bad --warmup '%s'",
-                             benchmark_.c_str(), v.c_str());
+            warmup_ = number(UINT64_MAX);
         } else if (arg == "--help" || arg == "-h") {
             usage(benchmark_, nullptr);
         } else {
@@ -442,8 +397,6 @@ BenchContext::apply(ExperimentConfig &cfg) const
         cfg.verify.checker = true;
         cfg.verify.oracle = true;
     }
-    if (legacyStep_)
-        cfg.simOptions.legacyStep = true;
     if (profile_) {
         cfg.profile.enabled = true;
         if (profileInterval_ != 0)

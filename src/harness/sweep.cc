@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -15,22 +16,31 @@
 
 namespace csim {
 
-unsigned
-parseThreadCount(const std::string &value, const char *source)
+std::uint64_t
+parseDecimal(const std::string &value, const char *source,
+             std::uint64_t lo, std::uint64_t hi)
 {
-    constexpr unsigned long maxThreads = 65536;
+    // strtoull alone would accept a sign (negating "-5" into a huge
+    // value) and leading blanks, and saturate silently past 2^64.
     bool digits_only = !value.empty();
     for (char c : value)
         digits_only = digits_only && c >= '0' && c <= '9';
-    if (!digits_only)
-        CSIM_FATAL_F("%s: thread count '%s' is not a positive integer",
-                     source, value.c_str());
-    char *end = nullptr;
-    const unsigned long n = std::strtoul(value.c_str(), &end, 10);
-    if (*end != '\0' || n == 0 || n > maxThreads)
-        CSIM_FATAL_F("%s: thread count '%s' out of range [1, %lu]",
-                     source, value.c_str(), maxThreads);
-    return static_cast<unsigned>(n);
+    errno = 0;
+    const unsigned long long n =
+        digits_only ? std::strtoull(value.c_str(), nullptr, 10) : 0;
+    if (!digits_only || errno == ERANGE || n < lo || n > hi)
+        CSIM_FATAL_F("bad %s '%s': want a decimal integer in "
+                     "[%llu, %llu]",
+                     source, value.c_str(),
+                     static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi));
+    return n;
+}
+
+unsigned
+parseThreadCount(const std::string &value, const char *source)
+{
+    return static_cast<unsigned>(parseDecimal(value, source, 1, 65536));
 }
 
 namespace {

@@ -35,11 +35,15 @@ namespace csim {
 class RunLedger;
 
 /**
- * Parse a worker-thread count from a flag or environment variable:
- * decimal digits only, in [1, 65536]. Anything else — empty, signed,
- * zero, trailing garbage, absurdly large — is fatal, quoting `source`
- * (e.g. "--threads", "CSIM_THREADS") and the offending value.
+ * Parse a number from a flag or environment variable: decimal digits
+ * only, in [lo, hi]. Anything else — empty, signed, blank-padded,
+ * trailing garbage, out of range, past 2^64 — is fatal, quoting
+ * `source` (e.g. "--threads", "CSIM_THREADS") and the offending value.
  */
+std::uint64_t parseDecimal(const std::string &value, const char *source,
+                           std::uint64_t lo, std::uint64_t hi);
+
+/** A worker-thread count: parseDecimal over [1, 65536]. */
 unsigned parseThreadCount(const std::string &value, const char *source);
 
 /** Whether a cell runs the timing simulator or the idealized

@@ -84,6 +84,8 @@ struct IntervalClusterLane
     /** Per-cycle window occupancy summed over the interval's cycles
      *  (divide by cycles for the average). */
     std::uint64_t occupancySum = 0;
+
+    bool operator==(const IntervalClusterLane &) const = default;
 };
 
 /** One closed profiling interval. */
@@ -120,6 +122,8 @@ struct IntervalRecord
 
     /** Element-wise accumulation (seed/sweep aggregation). */
     void merge(const IntervalRecord &other);
+
+    bool operator==(const IntervalRecord &) const = default;
 };
 
 /**

@@ -452,6 +452,38 @@ TEST(BenchContextLedgerDeathTest, BadHeartbeatPeriodIsFatal)
                  "bad --heartbeat-ms '0'");
 }
 
+TEST(BenchContextLedgerDeathTest, SignedPaddedOrOverflowingNumberIsFatal)
+{
+    // strtoull would negate "-1" into 2^64-1, skip the blank of " 5"
+    // and saturate 2^64: every numeric flag must reject all four.
+    const char *flags[] = {"--instructions", "--seeds",
+                           "--profile-interval", "--adaptive-interval",
+                           "--region-len", "--warmup", "--heartbeat-ms",
+                           "--regions"};
+    const char *values[] = {"-1", "+1", " 5", "18446744073709551616"};
+    for (const char *flag : flags) {
+        for (const char *value : values) {
+            SCOPED_TRACE(std::string(flag) + " '" + value + "'");
+            const char *argv[] = {"bench", flag, value};
+            EXPECT_DEATH(
+                BenchContext("bench", 3, const_cast<char **>(argv)),
+                std::string("bad ") + flag);
+        }
+    }
+}
+
+TEST(BenchContextLedger, NumericFlagsAcceptTheirRange)
+{
+    const char *argv[] = {"bench", "--seeds", "0,18446744073709551615",
+                          "--instructions", "4000"};
+    BenchContext ctx("bench", 5, const_cast<char **>(argv));
+    ExperimentConfig cfg;
+    ctx.apply(cfg);
+    EXPECT_EQ(cfg.instructions, 4000u);
+    EXPECT_EQ(cfg.seeds,
+              (std::vector<std::uint64_t>{0, UINT64_MAX}));
+}
+
 TEST(BenchContextLedger, EndToEndLedgerAndProvenance)
 {
     const std::string ledger_path = tempPath("bench");

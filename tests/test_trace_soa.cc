@@ -4,7 +4,8 @@
  * skip-ahead that consumes it: AoS <-> SoA round-trips over every
  * registered workload, footprint accounting, and skip-vs-dense
  * equality on synthetic sparse traces where the skip path must
- * actually engage.
+ * actually engage and on every proxy with the checker, the interval
+ * profiler and the adaptive manager observing.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "core/timing_sim.hh"
 #include "emu/emulator.hh"
 #include "frontend/branch_annotator.hh"
+#include "harness/experiment.hh"
 #include "mem/latency_annotator.hh"
 #include "policy/scheduling.hh"
 #include "policy/steering.hh"
@@ -213,6 +215,87 @@ TEST(SkipAhead, MatchesDenseOnMaxLatencyChain)
     // The widest idle gap a single dependence edge can produce.
     const Trace trace = sparseSerialChain(64, 255);
     checkSkipMatchesDense(trace, MachineConfig::clustered(8));
+}
+
+void
+expectSnapshotsEq(const StatsSnapshot &skip, const StatsSnapshot &dense)
+{
+    const auto &se = skip.entries();
+    const auto &de = dense.entries();
+    ASSERT_EQ(se.size(), de.size());
+    for (std::size_t i = 0; i < se.size(); ++i) {
+        SCOPED_TRACE(se[i].first);
+        EXPECT_EQ(se[i].first, de[i].first);
+        EXPECT_EQ(se[i].second.value, de[i].second.value);
+        EXPECT_EQ(se[i].second.buckets, de[i].second.buckets);
+    }
+}
+
+/**
+ * Run one observed cell (live checker + interval profiler, plus
+ * whatever `cfg` adds) on the skip-ahead loop and again with the idle
+ * probe off; observers must see the same cycles either way. Returns
+ * the cycles the observed run skipped.
+ */
+std::uint64_t
+checkObservedSkipMatchesDense(const Trace &trace,
+                              const MachineConfig &config,
+                              ExperimentConfig cfg)
+{
+    cfg.verify.checker = true;
+    cfg.verify.panicOnViolation = false;
+    cfg.profile.enabled = true;
+    cfg.profile.intervalCycles = 500;
+    const PolicyRun skip =
+        runPolicy(trace, config, PolicyKind::FocusedLocStall, cfg);
+    cfg.simOptions.legacyStep = true;
+    const PolicyRun dense =
+        runPolicy(trace, config, PolicyKind::FocusedLocStall, cfg);
+
+    EXPECT_EQ(skip.checkerViolations, 0u) << skip.checkerDetail;
+    EXPECT_EQ(dense.checkerViolations, 0u) << dense.checkerDetail;
+    EXPECT_EQ(dense.skipCycles, 0u);
+    expectTimingEq(skip.sim, dense.sim);
+    expectSnapshotsEq(skip.sim.stats, dense.sim.stats);
+    EXPECT_FALSE(skip.intervals.empty());
+    EXPECT_TRUE(skip.intervals.records == dense.intervals.records);
+    return skip.skipCycles;
+}
+
+TEST(SkipAhead, ObservedRunsMatchDenseOnEveryProxy)
+{
+    for (const std::string &name : workloadNames()) {
+        WorkloadConfig wcfg;
+        wcfg.targetInstructions = 4000;
+        wcfg.seed = 1;
+        const Trace trace = buildAnnotatedTrace(name, wcfg);
+        for (unsigned clusters : {4u, 8u}) {
+            const MachineConfig config =
+                MachineConfig::clustered(clusters);
+            SCOPED_TRACE(name + "/" + config.name());
+            // Attached observers must not stop the skip-ahead.
+            EXPECT_GT(
+                checkObservedSkipMatchesDense(trace, config, {}), 0u);
+        }
+    }
+}
+
+TEST(SkipAhead, AdaptiveRunMatchesDense)
+{
+    // The manager retunes live policy knobs at interval closes, so any
+    // hook a skipped span dropped or reordered would change decisions.
+    WorkloadConfig wcfg;
+    wcfg.targetInstructions = 4000;
+    wcfg.seed = 1;
+    const Trace trace = buildAnnotatedTrace("mcf", wcfg);
+    ExperimentConfig cfg;
+    cfg.adaptive.enabled = true;
+    cfg.adaptive.intervalCycles = 256;
+    cfg.adaptive.reactionIntervals = 1;
+    cfg.adaptive.minDwellIntervals = 1;
+    EXPECT_GT(checkObservedSkipMatchesDense(
+                  trace, MachineConfig::clustered(4), cfg),
+              0u);
 }
 
 } // anonymous namespace

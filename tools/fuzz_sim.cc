@@ -12,10 +12,10 @@
  *   - for clustered geometries, the monolithic envelope: the same
  *     policy on one cluster owning the summed resources with free
  *     bypass can never lose to the clustered machine, and
- *   - the stepping differential: a bare run on the event-driven
- *     skip-ahead core must match the same case stepped densely in
- *     every observable — cycle count, every timing record and every
- *     registered stat.
+ *   - the stepping differential: the checked, profiled run on the
+ *     event-driven skip-ahead core must match the same case stepped
+ *     densely in every observable — cycle count, every timing record,
+ *     every registered stat and the interval series.
  *
  * (The ideal list-scheduler bound is NOT applied here: its reference
  * schedule assumes the paper's Table-1 front end, which random
@@ -137,10 +137,11 @@ describeCase(const MachineConfig &config, PolicyKind kind,
         static_cast<unsigned long long>(instructions));
 }
 
-/** Cycles the skip-ahead jumped over, summed over the whole batch.
- *  Random traces always contain idle spans somewhere, so a batch in
- *  which the skip path never engaged means it is broken (or silently
- *  disabled) and the differential below proved nothing. */
+/** Cycles the checked runs' skip-ahead jumped over, summed over the
+ *  whole batch. Random traces always contain idle spans somewhere, so
+ *  a batch in which the skip path never engaged means it is broken
+ *  (or silently disabled), the checker never saw a skipped span and
+ *  the differential below proved nothing. */
 std::uint64_t batchSkipCycles = 0;
 
 /** Compare one InstTiming field across the two stepping modes. */
@@ -157,27 +158,47 @@ timingFieldDiffers(const char *name, T skip, T dense, InstId id,
     return true;
 }
 
+/** "" when two snapshots agree bit for bit, else the first mismatch. */
+std::string
+compareStats(const char *what, const StatsSnapshot &a,
+             const StatsSnapshot &b)
+{
+    const auto &ae = a.entries();
+    const auto &be = b.entries();
+    if (ae.size() != be.size())
+        return std::string(what) + ": stat counts differ";
+    for (std::size_t i = 0; i < ae.size(); ++i) {
+        if (ae[i].first != be[i].first)
+            return std::string(what) + ": stat order differs at '" +
+                ae[i].first + "'";
+        const StatValue &av = ae[i].second;
+        const StatValue &bv = be[i].second;
+        if (av.value != bv.value || av.buckets != bv.buckets)
+            return std::string(what) + ": stat '" + ae[i].first +
+                "' differs: " + std::to_string(av.value) + " != " +
+                std::to_string(bv.value);
+    }
+    return "";
+}
+
 /**
- * Returns "" when the event-driven run and the dense run agree on
- * every observable, else the first mismatch. Both runs are bare (no
- * checker, no profiler) so the skip path actually engages.
+ * Returns "" when the case's checked, profiled skip-ahead run and the
+ * same configuration stepped densely (legacyStep) agree on every
+ * observable — timing records, every stat (verify.* and profiler.*
+ * included) and the interval series — else the first mismatch.
  */
 std::string
 checkSteppingDifferential(const Trace &trace,
                           const MachineConfig &config, PolicyKind kind,
-                          ExperimentConfig cfg)
+                          ExperimentConfig cfg, const PolicyRun &skip)
 {
-    cfg.verify = VerifyConfig{};
-    cfg.profile = ProfileConfig{};
-    cfg.simOptions.legacyStep = false;
-    const PolicyRun skip = runPolicy(trace, config, kind, cfg);
     cfg.simOptions.legacyStep = true;
     const PolicyRun dense = runPolicy(trace, config, kind, cfg);
 
     if (dense.skipCycles != 0 || dense.skipSpans != 0)
-        return "skip-vs-dense: --legacy-step run reported skipped "
-               "cycles";
-    batchSkipCycles += skip.skipCycles;
+        return "skip-vs-dense: legacyStep run reported skipped cycles";
+    if (dense.checkerViolations)
+        return "skip-vs-dense: dense run: " + dense.checkerDetail;
 
     if (skip.sim.cycles != dense.sim.cycles)
         return "skip-vs-dense: cycles " +
@@ -223,45 +244,10 @@ checkSteppingDifferential(const Trace &trace,
             return detail;
     }
 
-    const auto &se = skip.sim.stats.entries();
-    const auto &de = dense.sim.stats.entries();
-    if (se.size() != de.size())
-        return "skip-vs-dense: stat counts differ";
-    for (std::size_t i = 0; i < se.size(); ++i) {
-        if (se[i].first != de[i].first)
-            return "skip-vs-dense: stat order differs at '" +
-                se[i].first + "'";
-        const StatValue &sv = se[i].second;
-        const StatValue &dv = de[i].second;
-        if (sv.value != dv.value || sv.buckets != dv.buckets)
-            return "skip-vs-dense: stat '" + se[i].first +
-                "' differs: " + std::to_string(sv.value) + " != " +
-                std::to_string(dv.value);
-    }
-    return "";
-}
-
-/** "" when two snapshots agree bit for bit, else the first mismatch. */
-std::string
-compareStats(const char *what, const StatsSnapshot &a,
-             const StatsSnapshot &b)
-{
-    const auto &ae = a.entries();
-    const auto &be = b.entries();
-    if (ae.size() != be.size())
-        return std::string(what) + ": stat counts differ";
-    for (std::size_t i = 0; i < ae.size(); ++i) {
-        if (ae[i].first != be[i].first)
-            return std::string(what) + ": stat order differs at '" +
-                ae[i].first + "'";
-        const StatValue &av = ae[i].second;
-        const StatValue &bv = be[i].second;
-        if (av.value != bv.value || av.buckets != bv.buckets)
-            return std::string(what) + ": stat '" + ae[i].first +
-                "' differs: " + std::to_string(av.value) + " != " +
-                std::to_string(bv.value);
-    }
-    return "";
+    if (skip.intervals.records != dense.intervals.records)
+        return "skip-vs-dense: interval series differ";
+    return compareStats("skip-vs-dense", skip.sim.stats,
+                        dense.sim.stats);
 }
 
 /**
@@ -336,9 +322,10 @@ checkStoreRoundTrip(const Trace &trace, const MachineConfig &config,
  * retuning the policy knobs on a short interval (reaction latency and
  * dwell forced to 1 so transitions actually fire at fuzz trace sizes),
  * under the live checker. Mid-run knob changes must not break any
- * pipeline invariant, and two identical adaptive runs must agree bit
- * for bit — the manager's decisions are a pure function of the
- * interval records. Exercises the retune surface on every policy
+ * pipeline invariant, and the skip-ahead run must agree bit for bit
+ * with the same run stepped densely — the manager's decisions are a
+ * pure function of the interval records, which skipped spans must
+ * reproduce exactly. Exercises the retune surface on every policy
  * stack, including those with no knobs to turn (ModN, LoadBal).
  */
 std::string
@@ -356,12 +343,14 @@ checkAdaptiveCase(const Trace &trace, const MachineConfig &config,
         return "adaptive: " + a.checkerDetail;
     if (!a.adaptive.present())
         return "adaptive: manager attached but exported no summary";
+    cfg.simOptions.legacyStep = true;
     const PolicyRun b = runPolicy(trace, config, kind, cfg);
     if (a.sim.cycles != b.sim.cycles)
-        return "adaptive: replay cycles " +
+        return "adaptive: dense cycles " +
             std::to_string(b.sim.cycles) + " != " +
             std::to_string(a.sim.cycles);
-    return compareStats("adaptive-replay", a.sim.stats, b.sim.stats);
+    return compareStats("adaptive-skip-vs-dense", a.sim.stats,
+                        b.sim.stats);
 }
 
 /** Returns "" on a clean case, else the first failure description. */
@@ -378,6 +367,9 @@ runCase(std::uint64_t seed, const FuzzArgs &args)
     cfg.seeds = {seed};
     cfg.verify.checker = true;
     cfg.verify.panicOnViolation = false;
+    // Short intervals so interval closes land inside skipped spans.
+    cfg.profile.enabled = true;
+    cfg.profile.intervalCycles = 256;
 
     if (args.verbose) {
         std::fprintf(stderr, "seed %llu:\n",
@@ -390,6 +382,7 @@ runCase(std::uint64_t seed, const FuzzArgs &args)
         describeCase(config, kind, trace.size());
         return run.checkerDetail;
     }
+    batchSkipCycles += run.skipCycles;
 
     const double cpi = run.sim.instructions ?
         static_cast<double>(run.sim.cycles) /
@@ -402,9 +395,11 @@ runCase(std::uint64_t seed, const FuzzArgs &args)
     }
 
     if (config.numClusters > 1) {
-        cfg.verify = VerifyConfig{};
+        ExperimentConfig bare = cfg;
+        bare.verify = VerifyConfig{};
+        bare.profile = ProfileConfig{};
         const PolicyRun env =
-            runPolicy(trace, monolithicEnvelope(config), kind, cfg);
+            runPolicy(trace, monolithicEnvelope(config), kind, bare);
         const double env_cpi = env.sim.instructions ?
             static_cast<double>(env.sim.cycles) /
             static_cast<double>(env.sim.instructions) : 0.0;
@@ -417,14 +412,12 @@ runCase(std::uint64_t seed, const FuzzArgs &args)
     }
 
     const std::string step_diff =
-        checkSteppingDifferential(trace, config, kind, cfg);
+        checkSteppingDifferential(trace, config, kind, cfg, run);
     if (!step_diff.empty()) {
         describeCase(config, kind, trace.size());
         return step_diff;
     }
 
-    cfg.verify.checker = true;
-    cfg.verify.panicOnViolation = false;
     const std::string store_diff =
         checkStoreRoundTrip(trace, config, kind, cfg, run, seed);
     if (!store_diff.empty()) {
