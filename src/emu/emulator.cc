@@ -4,6 +4,34 @@
 
 namespace csim {
 
+namespace {
+
+// Guest integer arithmetic wraps modulo 2^64. It is computed in
+// uint64_t, where overflow is defined, and converted back (a
+// two's-complement conversion since C++20).
+std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+
+std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                     static_cast<std::uint64_t>(b));
+}
+
+std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+
+} // anonymous namespace
+
 Emulator::Emulator(const Program &prog)
     : prog_(prog)
 {
@@ -94,10 +122,12 @@ Emulator::runChunk(Trace &out, std::uint64_t maxInstrs)
 
         switch (inst.op) {
           case Opcode::Add:
-            writeInt(inst.dest, readInt(inst.src1) + readInt(inst.src2));
+            writeInt(inst.dest,
+                     wrapAdd(readInt(inst.src1), readInt(inst.src2)));
             break;
           case Opcode::Sub:
-            writeInt(inst.dest, readInt(inst.src1) - readInt(inst.src2));
+            writeInt(inst.dest,
+                     wrapSub(readInt(inst.src1), readInt(inst.src2)));
             break;
           case Opcode::And:
             writeInt(inst.dest, readInt(inst.src1) & readInt(inst.src2));
@@ -130,10 +160,11 @@ Emulator::runChunk(Trace &out, std::uint64_t maxInstrs)
                      readInt(inst.src1) <= readInt(inst.src2) ? 1 : 0);
             break;
           case Opcode::Mul:
-            writeInt(inst.dest, readInt(inst.src1) * readInt(inst.src2));
+            writeInt(inst.dest,
+                     wrapMul(readInt(inst.src1), readInt(inst.src2)));
             break;
           case Opcode::Addi:
-            writeInt(inst.dest, readInt(inst.src1) + inst.imm);
+            writeInt(inst.dest, wrapAdd(readInt(inst.src1), inst.imm));
             break;
           case Opcode::Lui:
             writeInt(inst.dest, inst.imm);
@@ -160,14 +191,14 @@ Emulator::runChunk(Trace &out, std::uint64_t maxInstrs)
             break;
           case Opcode::Ld: {
             Addr ea = static_cast<Addr>(
-                readInt(inst.src1) + inst.imm);
+                wrapAdd(readInt(inst.src1), inst.imm));
             rec.memAddr = ea;
             writeInt(inst.dest, mem_.read(ea));
             break;
           }
           case Opcode::St: {
             Addr ea = static_cast<Addr>(
-                readInt(inst.src1) + inst.imm);
+                wrapAdd(readInt(inst.src1), inst.imm));
             rec.memAddr = ea;
             mem_.write(ea, readInt(inst.src2));
             break;

@@ -43,10 +43,12 @@ enum class PolicyKind
 const char *policyName(PolicyKind kind);
 
 /**
- * Verification knobs (src/verify). Both default off: the checker adds
- * per-event work to every simulated cycle and the oracle roughly
- * triples a cell's cost (it reruns the cell on two bounding models),
- * so production sweeps pay nothing. Bench binaries enable both with
+ * Verification knobs (src/verify). Both default off, so production
+ * sweeps pay nothing. The checker (live hooks plus the post-run audit)
+ * makes a policy cell about 1.3-1.4x as costly, and the oracle, which
+ * reruns the cell on two bounding models, brings checker + oracle to
+ * about 2.8-3.3x (12 proxies x {4x2w, 8x1w} focused+loc+stall cells at
+ * 20k instructions; EXPERIMENTS.md). Bench binaries enable both with
  * `--check`; the fuzzer drives them directly.
  */
 struct VerifyConfig

@@ -1,6 +1,7 @@
 #include "verify/pipeline_checker.hh"
 
-#include <map>
+#include <algorithm>
+#include <array>
 #include <utility>
 
 #include "common/logging.hh"
@@ -44,6 +45,100 @@ std::string
 instPrefix(InstId id)
 {
     return "inst " + std::to_string(id) + ": ";
+}
+
+/** "cluster 2 cycle 917: " prefix of the audit's per-cluster walks. */
+std::string
+clusterCycle(ClusterId c, Cycle cycle)
+{
+    return "cluster " + std::to_string(c) + " cycle " +
+        std::to_string(cycle) + ": ";
+}
+
+/** The port class an op issues through. */
+enum PortKind : std::uint8_t
+{
+    IntPort,
+    FpPort,
+    MemPort,
+    numPortKinds
+};
+
+PortKind
+portOf(OpClass cls)
+{
+    if (isIntClass(cls))
+        return IntPort;
+    return isFpClass(cls) ? FpPort : MemPort;
+}
+
+/** One audited instruction's issue in its cluster. */
+struct IssueSlot
+{
+    Cycle cycle;
+    PortKind port;
+};
+
+Cycle cycleOf(Cycle c) { return c; }
+Cycle cycleOf(const IssueSlot &s) { return s.cycle; }
+
+/** Sort an event stream by cycle, unless it already is (the dispatch
+ *  and commit streams of a valid run are). */
+template <typename Event>
+void
+sortByCycle(std::vector<Event> &events)
+{
+    const auto earlier = [](const Event &a, const Event &b) {
+        return cycleOf(a) < cycleOf(b);
+    };
+    if (!std::is_sorted(events.begin(), events.end(), earlier))
+        std::sort(events.begin(), events.end(), earlier);
+}
+
+/**
+ * Run-length scan of a cycle-sorted stream: visit(cycle, first, last)
+ * once per distinct cycle in ascending order, [first, last) being the
+ * indices of that cycle's events.
+ */
+template <typename Event, typename Visit>
+void
+forEachCycle(const std::vector<Event> &sorted, Visit &&visit)
+{
+    for (std::size_t first = 0; first < sorted.size();) {
+        const Cycle cycle = cycleOf(sorted[first]);
+        std::size_t last = first + 1;
+        while (last < sorted.size() && cycleOf(sorted[last]) == cycle)
+            ++last;
+        visit(cycle, first, last);
+        first = last;
+    }
+}
+
+/**
+ * Two-pointer merge of two cycle-sorted streams: visit(cycle, enters,
+ * exits) once per distinct cycle either stream holds, ascending, with
+ * each stream's event count at that cycle. Audited stamps are never
+ * invalidCycle, so it doubles as the "stream exhausted" sentinel.
+ */
+template <typename Enter, typename Exit, typename Visit>
+void
+mergeByCycle(const std::vector<Enter> &enters,
+             const std::vector<Exit> &exits, Visit &&visit)
+{
+    std::size_t a = 0;
+    std::size_t b = 0;
+    while (a < enters.size() || b < exits.size()) {
+        const Cycle cycle =
+            std::min(a < enters.size() ? cycleOf(enters[a]) : invalidCycle,
+                     b < exits.size() ? cycleOf(exits[b]) : invalidCycle);
+        std::size_t in = 0;
+        std::size_t out = 0;
+        for (; a < enters.size() && cycleOf(enters[a]) == cycle; ++a)
+            ++in;
+        for (; b < exits.size() && cycleOf(exits[b]) == cycle; ++b)
+            ++out;
+        visit(cycle, in, out);
+    }
 }
 
 } // anonymous namespace
@@ -164,10 +259,8 @@ PipelineChecker::onSteer(const CoreView &view, InstId id)
 }
 
 void
-PipelineChecker::checkOperands(const CoreView &view, InstId id,
-                               bool at_commit)
+PipelineChecker::checkOperands(const CoreView &view, InstId id)
 {
-    (void)at_commit;
     const TraceRecord &rec = trace_[id];
     const InstTiming &t = view.timingOf(id);
     for (int slot = 0; slot < numSrcSlots; ++slot) {
@@ -224,7 +317,7 @@ PipelineChecker::onIssue(const CoreView &view, InstId id)
                   " != issue " + cyc(t.issue) + " + latency " +
                   std::to_string(rec.execLat));
 
-    checkOperands(view, id, false);
+    checkOperands(view, id);
 
     if (t.cluster >= config_.numClusters)
         return; // already flagged at steer
@@ -363,35 +456,28 @@ auditTiming(const Trace &trace, const std::vector<InstTiming> &timing,
         return report;
     }
 
-    struct PortUse
-    {
-        unsigned total = 0;
-        unsigned intU = 0;
-        unsigned fpU = 0;
-        unsigned memU = 0;
-    };
-    std::map<std::pair<ClusterId, Cycle>, PortUse> ports;
-    std::map<Cycle, unsigned> commits_per, dispatches_per;
-    /** cycle -> (window enters, window exits) per cluster. */
-    std::vector<std::map<Cycle, std::pair<std::uint64_t,
-                                          std::uint64_t>>>
-        win_events(config.numClusters);
-    /** cycle -> (dispatches, commits) for the ROB walk. */
-    std::map<Cycle, std::pair<std::uint64_t, std::uint64_t>>
-        rob_events;
+    // Event streams of the instructions that pass the per-instruction
+    // gate (every stamp set, cluster in range): machine-wide dispatch
+    // and commit cycles, and per cluster its window enters (dispatch
+    // cycles) and issue slots.
+    std::vector<Cycle> dispatches;
+    std::vector<Cycle> commits;
+    dispatches.reserve(n);
+    commits.reserve(n);
+    std::vector<std::vector<Cycle>> enters(config.numClusters);
+    std::vector<std::vector<IssueSlot>> issues(config.numClusters);
 
     Cycle prev_dispatch = 0;
     Cycle prev_commit = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const TraceRecord &rec = trace[i];
         const InstTiming &t = timing[i];
-        const std::string at = instPrefix(i);
 
         if (t.fetch == invalidCycle || t.dispatch == invalidCycle ||
             t.ready == invalidCycle || t.issue == invalidCycle ||
             t.complete == invalidCycle || t.commit == invalidCycle) {
             report.record(Invariant::Monotone,
-                          at + "unset stage timestamp (fetch " +
+                          instPrefix(i) + "unset stage timestamp (fetch " +
                           cyc(t.fetch) + ", dispatch " +
                           cyc(t.dispatch) + ", ready " + cyc(t.ready) +
                           ", issue " + cyc(t.issue) + ", complete " +
@@ -401,67 +487,54 @@ auditTiming(const Trace &trace, const std::vector<InstTiming> &timing,
         }
         if (t.cluster >= config.numClusters) {
             report.record(Invariant::Occupancy,
-                          at + "cluster " + std::to_string(t.cluster) +
-                          " out of range");
+                          instPrefix(i) + "cluster " +
+                          std::to_string(t.cluster) + " out of range");
             continue;
         }
 
         if (t.dispatch < t.fetch + config.frontendDepth)
             report.record(Invariant::Monotone,
-                          at + "dispatch " + cyc(t.dispatch) +
+                          instPrefix(i) + "dispatch " + cyc(t.dispatch) +
                           " precedes fetch " + cyc(t.fetch) +
                           " + frontend depth " +
                           std::to_string(config.frontendDepth));
         if (t.ready < t.dispatch + 1)
             report.record(Invariant::Monotone,
-                          at + "ready " + cyc(t.ready) +
+                          instPrefix(i) + "ready " + cyc(t.ready) +
                           " precedes dispatch " + cyc(t.dispatch) +
                           " + 1");
         if (t.issue < t.ready)
             report.record(Invariant::Monotone,
-                          at + "issue " + cyc(t.issue) +
+                          instPrefix(i) + "issue " + cyc(t.issue) +
                           " precedes ready " + cyc(t.ready));
         if (t.complete != t.issue + rec.execLat)
             report.record(Invariant::Monotone,
-                          at + "complete " + cyc(t.complete) +
+                          instPrefix(i) + "complete " + cyc(t.complete) +
                           " != issue " + cyc(t.issue) + " + latency " +
                           std::to_string(rec.execLat));
         if (t.commit <= t.complete)
             report.record(Invariant::Monotone,
-                          at + "commit " + cyc(t.commit) +
+                          instPrefix(i) + "commit " + cyc(t.commit) +
                           " does not follow complete " +
                           cyc(t.complete));
 
         if (t.dispatch < prev_dispatch)
             report.record(Invariant::Order,
-                          at + "dispatch " + cyc(t.dispatch) +
+                          instPrefix(i) + "dispatch " + cyc(t.dispatch) +
                           " earlier than an older instruction's (" +
                           std::to_string(prev_dispatch) + ")");
         prev_dispatch = t.dispatch;
         if (t.commit < prev_commit)
             report.record(Invariant::Order,
-                          at + "commit " + cyc(t.commit) +
+                          instPrefix(i) + "commit " + cyc(t.commit) +
                           " earlier than an older instruction's (" +
                           std::to_string(prev_commit) + ")");
         prev_commit = t.commit;
 
-        ++dispatches_per[t.dispatch];
-        ++commits_per[t.commit];
-
-        PortUse &u = ports[{t.cluster, t.issue}];
-        ++u.total;
-        if (isIntClass(rec.cls))
-            ++u.intU;
-        else if (isFpClass(rec.cls))
-            ++u.fpU;
-        else
-            ++u.memU;
-
-        auto &we = win_events[t.cluster];
-        ++we[t.dispatch].first;
-        ++we[t.issue].second;
-        ++rob_events[t.dispatch].first;
-        ++rob_events[t.commit].second;
+        dispatches.push_back(t.dispatch);
+        commits.push_back(t.commit);
+        enters[t.cluster].push_back(t.dispatch);
+        issues[t.cluster].push_back({t.issue, portOf(rec.cls)});
 
         for (int slot = 0; slot < numSrcSlots; ++slot) {
             const InstId p = rec.prod[slot];
@@ -476,7 +549,7 @@ auditTiming(const Trace &trace, const std::vector<InstTiming> &timing,
                 pt.complete + (cross ? config.fwdLatency : 0);
             if (t.ready < avail || t.issue < avail)
                 report.record(Invariant::Bypass,
-                              at + "ready " + cyc(t.ready) +
+                              instPrefix(i) + "ready " + cyc(t.ready) +
                               "/issue " + cyc(t.issue) +
                               " precede operand " +
                               std::to_string(slot) +
@@ -489,81 +562,99 @@ auditTiming(const Trace &trace, const std::vector<InstTiming> &timing,
         ++report.checkedInstructions;
     }
 
-    for (const auto &[key, u] : ports) {
-        const std::string at = "cluster " +
-            std::to_string(key.first) + " cycle " +
-            std::to_string(key.second) + ": ";
-        if (u.total > config.cluster.issueWidth)
-            report.record(Invariant::Width,
-                          at + std::to_string(u.total) +
-                          " issues exceed width " +
-                          std::to_string(config.cluster.issueWidth));
-        if (u.intU > config.cluster.intPorts ||
-            u.fpU > config.cluster.fpPorts ||
-            u.memU > config.cluster.memPorts)
-            report.record(Invariant::Width,
-                          at + "port-class bound exceeded (int " +
-                          std::to_string(u.intU) + "/" +
-                          std::to_string(config.cluster.intPorts) +
-                          ", fp " + std::to_string(u.fpU) + "/" +
-                          std::to_string(config.cluster.fpPorts) +
-                          ", mem " + std::to_string(u.memU) + "/" +
-                          std::to_string(config.cluster.memPorts) +
-                          ")");
+    // Issue-width and port-class bounds per (cluster, cycle) group.
+    const ClusterPorts &ports = config.cluster;
+    for (ClusterId c = 0; c < config.numClusters; ++c) {
+        std::vector<IssueSlot> &slots = issues[c];
+        sortByCycle(slots);
+        forEachCycle(slots, [&](Cycle cycle, std::size_t first,
+                                std::size_t last) {
+            std::array<std::size_t, numPortKinds> use = {};
+            for (std::size_t k = first; k < last; ++k)
+                ++use[slots[k].port];
+            const std::size_t total = last - first;
+            if (total > ports.issueWidth)
+                report.record(Invariant::Width,
+                              clusterCycle(c, cycle) +
+                              std::to_string(total) +
+                              " issues exceed width " +
+                              std::to_string(ports.issueWidth));
+            if (use[IntPort] > ports.intPorts ||
+                use[FpPort] > ports.fpPorts ||
+                use[MemPort] > ports.memPorts)
+                report.record(Invariant::Width,
+                              clusterCycle(c, cycle) +
+                              "port-class bound exceeded (int " +
+                              std::to_string(use[IntPort]) + "/" +
+                              std::to_string(ports.intPorts) +
+                              ", fp " + std::to_string(use[FpPort]) +
+                              "/" + std::to_string(ports.fpPorts) +
+                              ", mem " + std::to_string(use[MemPort]) +
+                              "/" + std::to_string(ports.memPorts) +
+                              ")");
+        });
     }
-    for (const auto &[cycle, cnt] : commits_per)
-        if (cnt > config.commitWidth)
+
+    sortByCycle(commits);
+    forEachCycle(commits, [&](Cycle cycle, std::size_t first,
+                              std::size_t last) {
+        if (last - first > config.commitWidth)
             report.record(Invariant::Width,
                           "cycle " + std::to_string(cycle) + ": " +
-                          std::to_string(cnt) +
+                          std::to_string(last - first) +
                           " commits exceed commit width " +
                           std::to_string(config.commitWidth));
-    for (const auto &[cycle, cnt] : dispatches_per)
-        if (cnt > config.dispatchWidth)
+    });
+    sortByCycle(dispatches);
+    forEachCycle(dispatches, [&](Cycle cycle, std::size_t first,
+                                 std::size_t last) {
+        if (last - first > config.dispatchWidth)
             report.record(Invariant::Width,
                           "cycle " + std::to_string(cycle) + ": " +
-                          std::to_string(cnt) +
+                          std::to_string(last - first) +
                           " dispatches exceed dispatch width " +
                           std::to_string(config.dispatchWidth));
+    });
 
     // Window occupancy walk. Within a cycle the machine issues
     // (window exits) before it steers (window enters), so exits apply
     // first at equal cycles.
     for (ClusterId c = 0; c < config.numClusters; ++c) {
+        sortByCycle(enters[c]);
         std::int64_t occ = 0;
-        for (const auto &[cycle, ev] : win_events[c]) {
-            occ -= static_cast<std::int64_t>(ev.second);
+        mergeByCycle(enters[c], issues[c], [&](Cycle cycle,
+                                               std::size_t in,
+                                               std::size_t out) {
+            occ -= static_cast<std::int64_t>(out);
             if (occ < 0) {
                 report.record(Invariant::Occupancy,
-                              "cluster " + std::to_string(c) +
-                              " cycle " + std::to_string(cycle) +
-                              ": more window exits than entries");
+                              clusterCycle(c, cycle) +
+                              "more window exits than entries");
                 occ = 0;
             }
-            occ += static_cast<std::int64_t>(ev.first);
-            if (occ > static_cast<std::int64_t>(
-                          config.windowPerCluster))
+            occ += static_cast<std::int64_t>(in);
+            if (occ > static_cast<std::int64_t>(config.windowPerCluster))
                 report.record(Invariant::Occupancy,
-                              "cluster " + std::to_string(c) +
-                              " cycle " + std::to_string(cycle) +
-                              ": window holds " + std::to_string(occ) +
+                              clusterCycle(c, cycle) + "window holds " +
+                              std::to_string(occ) +
                               " instructions, capacity " +
                               std::to_string(config.windowPerCluster));
-        }
+        });
     }
 
     // ROB walk. Commit frees its entry before the same cycle's steer
     // stage runs, so commits apply first at equal cycles.
     std::int64_t in_flight = 0;
-    for (const auto &[cycle, ev] : rob_events) {
-        in_flight -= static_cast<std::int64_t>(ev.second);
+    mergeByCycle(dispatches, commits, [&](Cycle cycle, std::size_t in,
+                                          std::size_t out) {
+        in_flight -= static_cast<std::int64_t>(out);
         if (in_flight < 0) {
             report.record(Invariant::Rob,
                           "cycle " + std::to_string(cycle) +
                           ": more commits than dispatches");
             in_flight = 0;
         }
-        in_flight += static_cast<std::int64_t>(ev.first);
+        in_flight += static_cast<std::int64_t>(in);
         if (in_flight > static_cast<std::int64_t>(config.robEntries))
             report.record(Invariant::Rob,
                           "cycle " + std::to_string(cycle) + ": " +
@@ -571,7 +662,7 @@ auditTiming(const Trace &trace, const std::vector<InstTiming> &timing,
                           " in-flight instructions exceed ROB "
                           "capacity " +
                           std::to_string(config.robEntries));
-    }
+    });
 
     return report;
 }

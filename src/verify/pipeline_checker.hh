@@ -140,9 +140,8 @@ class PipelineChecker : public SimObserver
     /** Record (and optionally panic on) one violation. */
     void violation(Invariant inv, std::string detail);
 
-    /** Shared by onIssue/onCommit: operand-availability bounds. */
-    void checkOperands(const CoreView &view, InstId id,
-                       bool at_commit);
+    /** onIssue's operand-availability bounds. */
+    void checkOperands(const CoreView &view, InstId id);
 
     struct ClusterState
     {
@@ -182,7 +181,12 @@ class PipelineChecker : public SimObserver
  * Post-hoc audit: replay every checker invariant over the final
  * timing records of a finished run (occupancy and ROB bounds are
  * reconstructed from the dispatch/issue/commit event streams). Never
- * panics — callers inspect the returned report.
+ * panics — callers inspect the returned report. Costs O(n log n) in
+ * the instruction count whatever the stamps hold: any cycle other
+ * than invalidCycle is valid. Violations are recorded in a fixed
+ * order, which decides firstDetail: per-instruction checks in program
+ * order, then issue/port groups by (cluster, cycle), commit width,
+ * dispatch width, the window walk per cluster, and the ROB walk.
  */
 VerifyReport auditTiming(const Trace &trace,
                          const std::vector<InstTiming> &timing,

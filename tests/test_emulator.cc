@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "emu/emulator.hh"
 #include "emu/memory.hh"
 
@@ -68,6 +71,37 @@ TEST(Emulator, IntegerArithmetic)
     EXPECT_EQ(emu.reg(r(8)), 9);
     EXPECT_EQ(emu.reg(r(9)), 80);
     EXPECT_EQ(emu.reg(r(10)), 1);
+}
+
+TEST(Emulator, IntegerArithmeticWrapsOnOverflow)
+{
+    constexpr std::int64_t maxI = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t minI = std::numeric_limits<std::int64_t>::min();
+    Program p;
+    p.add(r(3), r(1), r(2));      // max + 1
+    p.sub(r(4), r(5), r(2));      // min - 1
+    p.mul(r(6), r(1), r(1));      // max * max
+    p.mul(r(7), r(5), r(8));      // min * -1
+    p.addi(r(9), r(1), 2);        // max + 2
+    p.st(r(2), r(5), -8);         // address wraps below zero
+    p.ld(r(10), r(5), -8);
+    p.halt();
+    p.finalize();
+
+    Emulator emu(p);
+    emu.setReg(r(1), maxI);
+    emu.setReg(r(2), 1);
+    emu.setReg(r(5), minI);
+    emu.setReg(r(8), -1);
+    const Trace t = emu.run(100);
+    EXPECT_EQ(emu.reg(r(3)), minI);
+    EXPECT_EQ(emu.reg(r(4)), maxI);
+    EXPECT_EQ(emu.reg(r(6)), 1);
+    EXPECT_EQ(emu.reg(r(7)), minI);
+    EXPECT_EQ(emu.reg(r(9)), minI + 1);
+    EXPECT_EQ(emu.reg(r(10)), 1);
+    EXPECT_EQ(t[5].memAddr, 0x7ffffffffffffff8ull);
+    EXPECT_EQ(t[6].memAddr, 0x7ffffffffffffff8ull);
 }
 
 TEST(Emulator, Comparisons)

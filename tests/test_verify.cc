@@ -16,7 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "verify/pipeline_checker.hh"
+
+#include "audit_reference.hh"
 
 #include "harness/experiment.hh"
 #include "policy/scheduling.hh"
@@ -239,6 +243,192 @@ TEST(PipelineCheckerNegative, TamperedCommitOrder)
     std::swap(tampered[400].commit, tampered[600].commit);
     const VerifyReport audit = auditTiming(trace, tampered, machine);
     EXPECT_GT(audit.count(Invariant::Order), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Audit differential: auditTiming() against the map-keyed event walk
+// it replaced (audit_reference.hh), over real runs whose timing is
+// randomly tampered and audited against optionally stricter
+// geometries. The reports must agree exactly, first detail included.
+
+/** A stage stamp of @p t by index: fetch, dispatch, ..., commit. */
+Cycle &
+stampAt(InstTiming &t, std::uint64_t which)
+{
+    switch (which) {
+      case 0: return t.fetch;
+      case 1: return t.dispatch;
+      case 2: return t.ready;
+      case 3: return t.issue;
+      case 4: return t.complete;
+      default: return t.commit;
+    }
+}
+
+/** An instruction within 16 of @p i: most faults are local. */
+std::size_t
+nearby(Rng &rng, std::size_t i, std::size_t n)
+{
+    const std::int64_t j =
+        static_cast<std::int64_t>(i) + rng.range(-16, 16);
+    return static_cast<std::size_t>(
+        std::clamp<std::int64_t>(j, 0, static_cast<std::int64_t>(n) - 1));
+}
+
+/** Apply one random fault to @p timing. */
+void
+tamper(Rng &rng, std::vector<InstTiming> &timing, unsigned clusters)
+{
+    const std::size_t n = timing.size();
+    const std::size_t i = rng.below(n);
+    const InstTiming other = timing[nearby(rng, i, n)];
+    InstTiming &t = timing[i];
+    switch (rng.below(6)) {
+      case 0: {
+        // Shift a stamp by a few cycles, or (wrapping) arbitrarily far.
+        Cycle &stamp = stampAt(t, rng.below(6));
+        stamp += rng.chance(1, 8)
+            ? rng.next()
+            : static_cast<Cycle>(rng.range(-6, 6));
+        break;
+      }
+      case 1:
+        stampAt(t, rng.below(6)) = invalidCycle;
+        break;
+      case 2:
+        std::swap(t.commit, timing[nearby(rng, i, n)].commit);
+        break;
+      case 3:
+        t.cluster = static_cast<ClusterId>(clusters +
+                                           rng.below(256 - clusters));
+        break;
+      case 4:
+        t.cluster = other.cluster;
+        t.issue = other.issue;
+        break;
+      default:
+        t.dispatch = other.dispatch;
+        break;
+    }
+}
+
+/** @p ran, with each audited bound independently maybe tightened. */
+MachineConfig
+stricterGeometry(Rng &rng, const MachineConfig &ran)
+{
+    MachineConfig m = ran;
+    const auto tighten = [&rng](unsigned &bound) {
+        if (rng.chance(1, 4))
+            bound = 1 + static_cast<unsigned>(rng.below(bound));
+    };
+    tighten(m.windowPerCluster);
+    tighten(m.robEntries);
+    tighten(m.cluster.issueWidth);
+    tighten(m.commitWidth);
+    tighten(m.dispatchWidth);
+    return m;
+}
+
+/** "" when the two reports agree on everything auditTiming fills. */
+std::string
+reportDiff(const VerifyReport &got, const VerifyReport &want)
+{
+    std::string out;
+    for (std::size_t k = 0; k < numInvariants; ++k)
+        if (got.byClass[k] != want.byClass[k])
+            out += std::string(invariantName(static_cast<Invariant>(k))) +
+                " " + std::to_string(got.byClass[k]) + " != " +
+                std::to_string(want.byClass[k]) + "; ";
+    if (got.firstDetail != want.firstDetail)
+        out += "firstDetail '" + got.firstDetail + "' != '" +
+            want.firstDetail + "'; ";
+    if (got.checkedInstructions != want.checkedInstructions ||
+        got.checkedCycles != want.checkedCycles)
+        out += "checked counts differ; ";
+    return out;
+}
+
+TEST(AuditDifferential, MatchesReferenceOnTamperedRuns)
+{
+    constexpr int casesPerRun = 60;
+    Rng rng(0x5eed);
+    std::uint64_t cases = 0;
+    std::uint64_t flagged = 0;
+    for (const char *wl : {"gzip", "mcf", "gcc", "eon"}) {
+        const Trace trace = workloadTrace(wl, 2000);
+        for (unsigned n : {1u, 2u, 4u, 8u}) {
+            const MachineConfig ran = MachineConfig::clustered(n);
+            ModNSteering steer;
+            AgeScheduling age;
+            const SimResult res =
+                TimingSim(ran, trace, steer, age).run();
+            ASSERT_TRUE(auditTiming(trace, res.timing, ran).ok());
+
+            for (int k = 0; k < casesPerRun; ++k) {
+                const MachineConfig audited = stricterGeometry(rng, ran);
+                std::vector<InstTiming> timing = res.timing;
+                // One case in seven is untampered: only a tightened
+                // bound then fails, so the per-cycle checks (and the
+                // order they report in) decide the first detail.
+                const std::uint64_t faults = rng.below(7);
+                for (std::uint64_t f = 0; f < faults; ++f)
+                    tamper(rng, timing, n);
+
+                const VerifyReport got =
+                    auditTiming(trace, timing, audited);
+                const VerifyReport want =
+                    referenceAuditTiming(trace, timing, audited);
+                const std::string diff = reportDiff(got, want);
+                ASSERT_TRUE(diff.empty())
+                    << wl << " " << ran.name() << " case " << k << ": "
+                    << diff;
+                ++cases;
+                flagged += got.ok() ? 0 : 1;
+            }
+        }
+    }
+    // The faults must actually exercise the violation paths.
+    EXPECT_GT(flagged, cases * 3 / 4);
+}
+
+TEST(AuditDifferential, StampsNearCycleMax)
+{
+    // Any stamp other than invalidCycle is a cycle: shift a clean run
+    // to the top of the range. It stays clean, and a fault in it is
+    // reported exactly as the reference does.
+    const Trace trace = workloadTrace("gcc", 2000);
+    const MachineConfig machine = MachineConfig::clustered(4);
+    ModNSteering steer;
+    AgeScheduling age;
+    const SimResult res = TimingSim(machine, trace, steer, age).run();
+
+    Cycle last = 0;
+    for (const InstTiming &t : res.timing)
+        last = std::max(last, t.commit);
+    const Cycle shift = invalidCycle - 1 - last;
+    std::vector<InstTiming> timing = res.timing;
+    for (InstTiming &t : timing)
+        for (std::uint64_t s = 0; s < 6; ++s)
+            stampAt(t, s) += shift;
+    const VerifyReport clean = auditTiming(trace, timing, machine);
+    EXPECT_TRUE(clean.ok()) << clean.firstDetail;
+    EXPECT_EQ(clean.checkedInstructions, trace.size());
+
+    MachineConfig tight = machine;
+    tight.robEntries = 8;
+    tight.windowPerCluster = 4;
+    timing[700].dispatch = timing[900].dispatch;
+    const VerifyReport got = auditTiming(trace, timing, tight);
+    EXPECT_GT(got.count(Invariant::Rob), 0u);
+    EXPECT_GT(got.count(Invariant::Order), 0u);
+    EXPECT_EQ(reportDiff(got, referenceAuditTiming(trace, timing, tight)),
+              "");
+
+    // An empty run audits clean on both sides.
+    const Trace empty;
+    EXPECT_EQ(reportDiff(auditTiming(empty, {}, machine),
+                         referenceAuditTiming(empty, {}, machine)),
+              "");
 }
 
 // ---------------------------------------------------------------------
