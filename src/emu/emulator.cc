@@ -87,6 +87,10 @@ Trace
 Emulator::run(std::uint64_t maxInstrs)
 {
     Trace trace;
+    // Sized once: growing by doubling would fault in and copy every
+    // earlier buffer, which costs a long build more kernel time than
+    // the emulation itself.
+    trace.reserve(maxInstrs);
     runChunk(trace, maxInstrs);
     return trace;
 }

@@ -44,6 +44,7 @@ class Emulator
     /**
      * Run until Halt or until maxInstrs dynamic instructions have
      * committed; Halt/Nop/trace bookkeeping do not enter the trace.
+     * Room for maxInstrs records is reserved up front.
      * @return the committed trace (producers not yet linked).
      */
     Trace run(std::uint64_t maxInstrs);

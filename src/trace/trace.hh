@@ -123,6 +123,20 @@ class Trace
         records_.push_back(rec);
     }
 
+    /** Drop every record but keep the capacity, so a reused chunk
+     *  buffer refills without reallocating. */
+    void
+    clear()
+    {
+        invalidateSoA();
+        records_.clear();
+    }
+
+    /** Make room for n records up front (no regrowth while they are
+     *  appended). */
+    void reserve(std::size_t n) { records_.reserve(n); }
+    std::size_t capacity() const { return records_.capacity(); }
+
     std::size_t size() const { return records_.size(); }
     bool empty() const { return records_.empty(); }
     const TraceRecord &operator[](std::size_t i) const

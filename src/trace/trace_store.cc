@@ -27,6 +27,7 @@ constexpr std::uint32_t knownFlags = flagCompressWide;
 /** Columns in TraceSoA arena order: five wide, then seven byte. */
 constexpr std::size_t numColumns = 12;
 constexpr std::size_t numWideColumns = 2 + numSrcSlots;
+constexpr std::size_t numByteColumns = numColumns - numWideColumns;
 constexpr std::size_t columnElemBytes[numColumns] = {8, 8, 8, 8, 8,
                                                      1, 1, 1, 1, 1,
                                                      1, 1};
@@ -129,48 +130,53 @@ packFlags(const TraceRecord &rec)
     return f;
 }
 
-/** Stage one chunk's columns into contiguous buffers. */
-struct ColumnStage
+/**
+ * Transpose one chunk into column-major staging, reusing the buffers'
+ * capacity: wide column c fills wide[c*n, (c+1)*n), byte column c
+ * fills narrow[(c - numWideColumns)*n, ...). One pass over the rows.
+ * @return the chunk's valid producer links.
+ */
+std::uint64_t
+stageColumns(const Trace &chunk, std::vector<std::uint64_t> &wide,
+             std::vector<std::uint8_t> &narrow)
 {
-    std::vector<std::uint64_t> wide[numWideColumns];
-    std::vector<std::uint8_t> narrow[numColumns - numWideColumns];
+    const std::size_t n = chunk.size();
+    wide.resize(numWideColumns * n);
+    narrow.resize(numByteColumns * n);
+    std::uint64_t *const w = wide.data();
+    std::uint8_t *const b = narrow.data();
     std::uint64_t producerLinks = 0;
-
-    explicit ColumnStage(const Trace &chunk)
-    {
-        const std::size_t n = chunk.size();
-        for (auto &w : wide)
-            w.reserve(n);
-        for (auto &b : narrow)
-            b.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const TraceRecord &rec = chunk[i];
-            wide[0].push_back(rec.pc);
-            wide[1].push_back(rec.memAddr);
-            for (int slot = 0; slot < numSrcSlots; ++slot) {
-                wide[2 + slot].push_back(rec.prod[slot]);
-                if (rec.prod[slot] != invalidInstId)
-                    ++producerLinks;
-            }
-            narrow[0].push_back(static_cast<std::uint8_t>(rec.op));
-            narrow[1].push_back(static_cast<std::uint8_t>(rec.cls));
-            narrow[2].push_back(rec.execLat);
-            narrow[3].push_back(packFlags(rec));
-            narrow[4].push_back(rec.dest);
-            narrow[5].push_back(rec.src1);
-            narrow[6].push_back(rec.src2);
+    for (std::size_t i = 0; i < n; ++i) {
+        const TraceRecord &rec = chunk[i];
+        w[i] = rec.pc;
+        w[n + i] = rec.memAddr;
+        for (int slot = 0; slot < numSrcSlots; ++slot) {
+            w[(2 + slot) * n + i] = rec.prod[slot];
+            if (rec.prod[slot] != invalidInstId)
+                ++producerLinks;
         }
+        b[i] = static_cast<std::uint8_t>(rec.op);
+        b[n + i] = static_cast<std::uint8_t>(rec.cls);
+        b[2 * n + i] = rec.execLat;
+        b[3 * n + i] = packFlags(rec);
+        b[4 * n + i] = rec.dest;
+        b[5 * n + i] = rec.src1;
+        b[6 * n + i] = rec.src2;
     }
+    return producerLinks;
+}
 
-    const void *
-    data(std::size_t c) const
-    {
-        return c < numWideColumns
-            ? static_cast<const void *>(wide[c].data())
-            : static_cast<const void *>(
-                  narrow[c - numWideColumns].data());
-    }
-};
+/** Column c of an n-row chunk staged by stageColumns. */
+const void *
+stagedColumn(const std::vector<std::uint64_t> &wide,
+             const std::vector<std::uint8_t> &narrow, std::size_t n,
+             std::size_t c)
+{
+    return c < numWideColumns
+        ? static_cast<const void *>(wide.data() + c * n)
+        : static_cast<const void *>(narrow.data() +
+                                    (c - numWideColumns) * n);
+}
 
 // --- LEB128 (unsigned varint) for the compressed wide columns. ---
 //
@@ -277,18 +283,20 @@ TraceStoreWriter::append(const Trace &chunk)
 
     ColumnDesc col[numColumns];
     rawLayout(capacity_, col);
-    const ColumnStage stage(chunk);
+    const std::size_t n = chunk.size();
+    const std::uint64_t links =
+        stageColumns(chunk, wideStage_, narrowStage_);
     for (std::size_t c = 0; c < numColumns; ++c) {
         const std::uint64_t off =
             col[c].offset + written_ * columnElemBytes[c];
-        if (!pwriteAll(fd_, stage.data(c),
-                       chunk.size() * columnElemBytes[c], off)) {
+        if (!pwriteAll(fd_, stagedColumn(wideStage_, narrowStage_, n, c),
+                       n * columnElemBytes[c], off)) {
             failed_ = true;
             return false;
         }
     }
-    producerLinks_ += stage.producerLinks;
-    written_ += chunk.size();
+    producerLinks_ += links;
+    written_ += n;
     return true;
 }
 
@@ -338,15 +346,19 @@ saveTraceStore(const Trace &trace, const std::string &path,
         return false;
     FdCloser closer{fd};
 
-    const ColumnStage stage(trace);
+    std::vector<std::uint64_t> wide;
+    std::vector<std::uint8_t> narrow;
+    const std::uint64_t links = stageColumns(trace, wide, narrow);
     const std::size_t n = trace.size();
 
     std::vector<std::uint8_t> encoded[numWideColumns];
     for (std::size_t c = 0; c < numWideColumns; ++c) {
         encoded[c].reserve(n * 2);
         const bool isProd = c >= 2;
-        for (std::uint64_t v : stage.wide[c])
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t v = wide[c * n + i];
             leb128Put(encoded[c], isProd ? v + 1 : v);
+        }
     }
 
     StoreHeader hdr = {};
@@ -355,7 +367,7 @@ saveTraceStore(const Trace &trace, const std::string &path,
     hdr.endian = endianTag;
     hdr.count = n;
     hdr.capacity = n;
-    hdr.producerLinks = stage.producerLinks;
+    hdr.producerLinks = links;
     hdr.flags = flagCompressWide;
     hdr.columnCount = numColumns;
     std::uint64_t offset = sizeof(StoreHeader);
@@ -372,7 +384,7 @@ saveTraceStore(const Trace &trace, const std::string &path,
     for (std::size_t c = 0; c < numColumns; ++c) {
         const void *data = c < numWideColumns
             ? static_cast<const void *>(encoded[c].data())
-            : stage.data(c);
+            : stagedColumn(wide, narrow, n, c);
         if (!pwriteAll(fd, data, hdr.col[c].bytes, hdr.col[c].offset))
             return false;
     }

@@ -15,8 +15,9 @@
  *
  * Writing is streaming-friendly: TraceStoreWriter preallocates the
  * column layout for a declared capacity and pwrite()s each appended
- * chunk's column slices at their final offsets, so build-side memory
- * is O(chunk). finalize() stamps the real instruction count (and the
+ * chunk's column slices at their final offsets, staged through
+ * buffers it reuses from chunk to chunk, so build-side memory is
+ * O(chunk). finalize() stamps the real instruction count (and the
  * producer-link total the timing core needs to size its waiter pool)
  * into the header.
  *
@@ -35,6 +36,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "trace/trace_io.hh"
 #include "trace/trace_soa.hh"
@@ -98,6 +100,11 @@ class TraceStoreWriter
     std::uint64_t capacity_ = 0;
     std::uint64_t written_ = 0;
     std::uint64_t producerLinks_ = 0;
+    /** One appended chunk's columns, transposed for pwrite(): the
+     *  five wide columns, then the seven byte columns, each a
+     *  contiguous chunk-sized slice. Reused across append() calls. */
+    std::vector<std::uint64_t> wideStage_;
+    std::vector<std::uint8_t> narrowStage_;
 };
 
 /**

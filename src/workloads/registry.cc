@@ -1,6 +1,11 @@
 #include "workloads/registry.hh"
 
 #include <algorithm>
+#include <array>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
@@ -32,6 +37,138 @@ constexpr Entry entries[] = {
     {"twolf", buildTwolf, prepareTwolf},
     {"vortex", buildVortex, prepareVortex},
     {"vpr", buildVpr, prepareVpr},
+};
+
+/** Chunk buffers of a streaming store build: one can be emulated
+ *  while one is linked and annotated and one is written. */
+constexpr std::size_t ringDepth = 3;
+
+/**
+ * In-order hand-off of ring slots from one build stage to the next: a
+ * bounded circular buffer under a mutex, in the manner of zsim's
+ * CircBuffer. Only ringDepth slots exist, so a push never waits.
+ */
+class SlotQueue
+{
+  public:
+    void
+    push(std::size_t slot)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            CSIM_ASSERT(count_ < ringDepth);
+            slots_[(head_ + count_) % ringDepth] = slot;
+            ++count_;
+        }
+        cv_.notify_one();
+    }
+
+    /** Wait for the next slot. False once the queue is closed and
+     *  drained, or at once when it is aborted. */
+    bool
+    pop(std::size_t &slot)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock,
+                 [this] { return count_ > 0 || closed_ || aborted_; });
+        if (aborted_ || count_ == 0)
+            return false;
+        slot = slots_[head_];
+        head_ = (head_ + 1) % ringDepth;
+        --count_;
+        return true;
+    }
+
+    /** No more pushes: pop() drains what is queued, then fails. */
+    void close() { raise(closed_); }
+    /** Stop the consumer now, whatever is still queued. */
+    void abort() { raise(aborted_); }
+
+  private:
+    void
+    raise(bool &flag)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            flag = true;
+        }
+        cv_.notify_all();
+    }
+
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::array<std::size_t, ringDepth> slots_ = {};
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+    bool closed_ = false;
+    bool aborted_ = false;
+};
+
+/**
+ * The two producer stages of a store build, each on its own thread.
+ * join(), which the destructor also runs so that no way out of the
+ * build leaves a thread behind, aborts every queue first: that stops
+ * stages still running after the writer quit. A stage that throws
+ * aborts the queues itself; join() rethrows its exception on the
+ * calling thread.
+ */
+class StageThreads
+{
+  public:
+    explicit StageThreads(std::array<SlotQueue *, 3> queues)
+        : queues_(queues)
+    {}
+    ~StageThreads() { stop(); }
+    StageThreads(const StageThreads &) = delete;
+    StageThreads &operator=(const StageThreads &) = delete;
+
+    template <class Stage>
+    void
+    start(std::size_t i, Stage stage)
+    {
+        threads_[i] = std::thread([this, stage] {
+            try {
+                stage();
+            } catch (...) {
+                {
+                    std::lock_guard<std::mutex> lock(errorMutex_);
+                    if (!error_)
+                        error_ = std::current_exception();
+                }
+                abortQueues();
+            }
+        });
+    }
+
+    void
+    join()
+    {
+        stop();
+        if (error_)
+            std::rethrow_exception(error_);
+    }
+
+  private:
+    void
+    abortQueues()
+    {
+        for (SlotQueue *q : queues_)
+            q->abort();
+    }
+
+    void
+    stop()
+    {
+        abortQueues();
+        for (std::thread &t : threads_)
+            if (t.joinable())
+                t.join();
+    }
+
+    std::array<SlotQueue *, 3> queues_;
+    std::mutex errorMutex_;
+    std::exception_ptr error_;
+    std::array<std::thread, 2> threads_;
 };
 
 } // anonymous namespace
@@ -117,6 +254,7 @@ buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,
     CSIM_ASSERT(chunkInstructions > 0);
 
     PreparedWorkload w = workloadPreparer(name)(cfg);
+    Emulator &emu = *w.emulator;
     TraceStoreWriter writer(path, cfg.targetInstructions);
 
     // Each pass's state lives across chunks, so chunked annotation
@@ -125,22 +263,56 @@ buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,
     GsharePredictor pred(gshare_bits);
     Cache l1(mem.l1);
 
+    // Reserved on the calling thread before the stages start: malloc
+    // serves each thread from its own arena, and memory a stage thread
+    // allocated would stay in that arena after it is freed.
+    std::array<Trace, ringDepth> ring;
+    for (Trace &chunk : ring)
+        chunk.reserve(std::min(chunkInstructions, cfg.targetInstructions));
+    SlotQueue empty, emulated, annotated;
+    for (std::size_t slot = 0; slot < ringDepth; ++slot)
+        empty.push(slot);
+
+    // Every stage takes the chunks in order and alone owns its pass
+    // state, so the store is the serial build's, byte for byte.
+    StageThreads stages({&empty, &emulated, &annotated});
+    stages.start(0, [&] {
+        std::uint64_t emitted = 0;
+        std::size_t slot = 0;
+        while (emitted < cfg.targetInstructions && !emu.done() &&
+               empty.pop(slot)) {
+            const std::uint64_t want = std::min(
+                chunkInstructions, cfg.targetInstructions - emitted);
+            Trace &chunk = ring[slot];
+            chunk.clear();
+            if (emu.runChunk(chunk, want) == 0)
+                break;
+            emitted += chunk.size();
+            emulated.push(slot);
+        }
+        emulated.close();
+    });
+    stages.start(1, [&] {
+        InstId base = 0;
+        std::size_t slot = 0;
+        while (emulated.pop(slot)) {
+            Trace &chunk = ring[slot];
+            linker.link(chunk, base);
+            annotateBranches(chunk, pred);
+            annotateMemory(chunk, l1, mem);
+            base += chunk.size();
+            annotated.push(slot);
+        }
+        annotated.close();
+    });
+
     TraceStoreBuildResult res;
-    while (res.instructions < cfg.targetInstructions &&
-           !w.emulator->done()) {
-        const std::uint64_t want =
-            std::min(chunkInstructions,
-                     cfg.targetInstructions - res.instructions);
-        Trace chunk;
-        if (w.emulator->runChunk(chunk, want) == 0)
-            break;
-        linker.link(chunk, res.instructions);
-        annotateBranches(chunk, pred);
-        annotateMemory(chunk, l1, mem);
-        if (!writer.append(chunk))
-            return res;
-        res.instructions += chunk.size();
+    std::size_t slot = 0;
+    while (annotated.pop(slot) && writer.append(ring[slot])) {
+        res.instructions += ring[slot].size();
+        empty.push(slot);
     }
+    stages.join();
     if (!writer.finalize())
         return res;
     HOST_PROF_INSTRUCTIONS(res.instructions);

@@ -65,12 +65,18 @@ struct TraceStoreBuildResult
 
 /**
  * Stream-build the annotated trace for a named workload directly into
- * a v2 trace store file: emulate, link producers and annotate in
- * bounded chunks, appending each chunk's columns to the store — peak
- * host memory is O(chunkInstructions), not O(targetInstructions).
- * Because every pass (linking, gshare, L1) carries its state across
- * chunks, the stored trace is byte-identical to what
- * buildAnnotatedTrace would produce with the same arguments.
+ * a v2 trace store file. Three stages overlap on a fixed ring of three
+ * chunk buffers: emulation on one thread, producer linking plus
+ * branch and memory annotation on a second, and the store append on
+ * the calling thread. Peak host memory is the three chunks plus the
+ * writer's column staging, O(chunkInstructions), not
+ * O(targetInstructions). Because every pass (linking, gshare, L1)
+ * carries its state across chunks and every stage takes the chunks
+ * in order, the stored trace is byte-identical to what
+ * buildAnnotatedTrace would produce with the same arguments. A failed
+ * write stops and joins both producer stages; the result then has
+ * ok == false and counts the instructions written before the failing
+ * chunk.
  */
 TraceStoreBuildResult
 buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,

@@ -1,18 +1,25 @@
 /**
  * @file
  * Tests for the columnar v2 trace store: round-trip fidelity (raw and
- * compressed), streaming-writer equivalence, region extraction, the
- * column-view simulation path, phased runs, and region-sampling
- * determinism.
+ * compressed), streaming-writer equivalence, the pipelined streaming
+ * build (every proxy and chunk size, writer failures), region
+ * extraction, the column-view simulation path, phased runs, and
+ * region-sampling determinism.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "core/timing_sim.hh"
 #include "harness/experiment.hh"
@@ -69,6 +76,37 @@ expectViewMatchesTrace(const TraceSoA &soa, const Trace &original)
         SCOPED_TRACE(i);
         expectRecordsEqual(soa.record(i), original[i]);
     }
+}
+
+template <class T>
+void
+expectColumnEqual(std::span<const T> got, std::span<const T> want,
+                  const char *column)
+{
+    ASSERT_EQ(got.size(), want.size()) << column;
+    const auto diff = std::ranges::mismatch(got, want);
+    EXPECT_EQ(diff.in1, got.end())
+        << column << " differs at row " << (diff.in1 - got.begin());
+}
+
+/** All twelve stored columns and the producer-link total. */
+void
+expectColumnsEqual(const TraceSoA &got, const TraceSoA &want)
+{
+    expectColumnEqual(got.pc(), want.pc(), "pc");
+    expectColumnEqual(got.memAddr(), want.memAddr(), "memAddr");
+    expectColumnEqual(got.prod(srcSlot1), want.prod(srcSlot1), "prod1");
+    expectColumnEqual(got.prod(srcSlot2), want.prod(srcSlot2), "prod2");
+    expectColumnEqual(got.prod(srcSlotMem), want.prod(srcSlotMem),
+                      "prodMem");
+    expectColumnEqual(got.op(), want.op(), "op");
+    expectColumnEqual(got.cls(), want.cls(), "cls");
+    expectColumnEqual(got.execLat(), want.execLat(), "execLat");
+    expectColumnEqual(got.flags(), want.flags(), "flags");
+    expectColumnEqual(got.dest(), want.dest(), "dest");
+    expectColumnEqual(got.src1(), want.src1(), "src1");
+    expectColumnEqual(got.src2(), want.src2(), "src2");
+    EXPECT_EQ(got.producerLinks(), want.producerLinks());
 }
 
 TEST(TraceStore, RoundTripPreservesEverything)
@@ -201,23 +239,118 @@ TEST(TraceStore, WriterUnderfillLoadsWrittenPrefix)
 
 TEST(TraceStore, BuildTraceStoreFileMatchesMonolithicBuild)
 {
+    // Chunk sizes from one instruction (a hand-off per record) to more
+    // than the whole trace; the target is prime, so it is a multiple
+    // of none of the larger sizes and the last chunk comes up short.
+    // The carried pass state and in-order stages must make every
+    // split invisible.
     WorkloadConfig cfg;
-    cfg.targetInstructions = 4000;
+    cfg.targetInstructions = 3001;
     cfg.seed = 9;
-    const Trace reference = buildAnnotatedTrace("gzip", cfg);
-
-    // A chunk far below the target forces many emulate/link/annotate
-    // hand-offs; the carried pass state must make them seamless.
     const std::string path = tempPath("streambuild");
-    const TraceStoreBuildResult built =
-        buildTraceStoreFile("gzip", cfg, path, 512);
-    ASSERT_TRUE(built.ok);
-    EXPECT_EQ(built.instructions, reference.size());
+    for (const std::string &name : workloadNames()) {
+        const Trace reference = buildAnnotatedTrace(name, cfg);
+        const TraceSoA want(reference);
+        for (const std::uint64_t chunk : {1u, 7u, 613u, 65536u}) {
+            SCOPED_TRACE(name + " chunk " + std::to_string(chunk));
+            const TraceStoreBuildResult built =
+                buildTraceStoreFile(name, cfg, path, chunk);
+            ASSERT_TRUE(built.ok);
+            EXPECT_EQ(built.instructions, reference.size());
 
-    TraceSoA soa;
-    ASSERT_EQ(loadTraceStore(soa, path), TraceIoStatus::Ok);
-    expectViewMatchesTrace(soa, reference);
+            TraceSoA got;
+            ASSERT_EQ(loadTraceStore(got, path), TraceIoStatus::Ok);
+            expectColumnsEqual(got, want);
+        }
+    }
     std::remove(path.c_str());
+}
+
+TEST(TraceStore, BuildTraceStoreFileFailsOnUnwritablePath)
+{
+    // The writer is never ok(): its first append fails, and the
+    // producer stages must be stopped and joined, not left waiting
+    // for ring slots the writer will never return.
+    WorkloadConfig cfg;
+    cfg.targetInstructions = 20000;
+    cfg.seed = 2;
+    const std::string path =
+        std::string(::testing::TempDir()) + "/csim_no_such_dir/x.trc2";
+    const TraceStoreBuildResult built =
+        buildTraceStoreFile("gzip", cfg, path, 1000);
+    EXPECT_FALSE(built.ok);
+    EXPECT_EQ(built.instructions, 0u);
+}
+
+/** Death-test child: build under a file-size limit, print the result
+ *  and exit 0 (2 if the limit cannot be set). */
+[[noreturn]] void
+buildUnderFileSizeLimit(rlim_t limit, const WorkloadConfig &cfg,
+                        const std::string &path, std::uint64_t chunk)
+{
+    const rlimit lim = {limit, limit};
+    std::signal(SIGXFSZ, SIG_IGN);
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0)
+        std::_Exit(2);
+    const TraceStoreBuildResult built =
+        buildTraceStoreFile("gzip", cfg, path, chunk);
+    std::fprintf(stderr, "ok=%d instructions=%llu\n", built.ok ? 1 : 0,
+                 static_cast<unsigned long long>(built.instructions));
+    std::_Exit(0);
+}
+
+TEST(TraceStoreDeath, BuildTraceStoreFileStopsWhenAWriteFailsPartway)
+{
+    // The child re-executes this binary, so the pipeline's threads
+    // start in a fresh process, not in a fork of a threaded one.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    WorkloadConfig cfg;
+    cfg.targetInstructions = 20000;
+    cfg.seed = 2;
+    const std::uint64_t chunk = 1000;
+
+    // The last column (src2, one byte per row) lies furthest into the
+    // file. Its offset depends only on the capacity, so read it from
+    // a complete store's header (descriptor 11 at byte 48 + 16 * 11).
+    const std::string reference = tempPath("failref");
+    ASSERT_TRUE(buildTraceStoreFile("gzip", cfg, reference, chunk).ok);
+    std::uint64_t lastColumn = 0;
+    std::FILE *f = std::fopen(reference.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 48 + 16 * 11, SEEK_SET), 0);
+    ASSERT_EQ(std::fread(&lastColumn, sizeof(lastColumn), 1, f), 1u);
+    std::fclose(f);
+    std::remove(reference.c_str());
+
+    // A file-size limit halfway into the sixth chunk's src2 slice: the
+    // first five chunks land whole, the sixth's last pwrite() fails
+    // with EFBIG (SIGXFSZ ignored), with later chunks still in flight.
+    const std::uint64_t whole = 5;
+    const std::string path = tempPath("writefail");
+    EXPECT_EXIT(buildUnderFileSizeLimit(lastColumn + whole * chunk +
+                                            chunk / 2,
+                                        cfg, path, chunk),
+                ::testing::ExitedWithCode(0),
+                "ok=0 instructions=" + std::to_string(whole * chunk) +
+                    "\n");
+    std::remove(path.c_str());
+}
+
+TEST(TraceStore, ClearKeepsCapacityAndDropsCachedSoA)
+{
+    // The streaming build refills the same chunk buffers: clear() must
+    // neither give the capacity back nor leave a stale column view.
+    Trace chunk = smallTrace("vpr", 500, 1);
+    const std::size_t capacity = chunk.capacity();
+    ASSERT_GE(capacity, chunk.size());
+    EXPECT_EQ(chunk.soa().size(), chunk.size());
+    ASSERT_GT(chunk.footprintBytes(), chunk.size() * sizeof(TraceRecord));
+
+    chunk.clear();
+    EXPECT_TRUE(chunk.empty());
+    EXPECT_EQ(chunk.capacity(), capacity);
+    EXPECT_EQ(chunk.footprintBytes(), 0u);
+    EXPECT_EQ(chunk.soa().size(), 0u);
 }
 
 TEST(TraceStore, ExtractRegionRebasesProducerLinks)
