@@ -12,6 +12,7 @@
  */
 
 #include <cstdio>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "harness/json_report.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
+#include "trace/trace_soa.hh"
 
 using namespace csim;
 
@@ -62,8 +64,9 @@ main(int argc, char **argv)
 
         std::unordered_map<Addr, std::pair<std::uint64_t,
                                            std::uint64_t>> per_pc;
-        for (std::uint64_t k = 0; k < trace->size(); ++k) {
-            auto &e = per_pc[(*trace)[k].pc];
+        const std::span<const Addr> pcs = trace->soa().pc();
+        for (std::uint64_t k = 0; k < pcs.size(); ++k) {
+            auto &e = per_pc[pcs[k]];
             ++e.second;
             if (crit[k])
                 ++e.first;

@@ -20,6 +20,7 @@
 #include "harness/json_report.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
+#include "trace/trace_soa.hh"
 
 using namespace csim;
 
@@ -59,12 +60,13 @@ main(int argc, char **argv)
 
         // Split conditional-branch slack by prediction outcome.
         RunningStat mispred, correct;
-        for (std::uint64_t k = 0; k < trace->size(); ++k) {
-            if (!(*trace)[k].isCondBranch)
+        const TraceSoA view = trace->soa();
+        for (std::uint64_t k = 0; k < view.size(); ++k) {
+            if (!view.isCondBranch(k))
                 continue;
             const double s =
                 static_cast<double>(sa.localSlack[k]);
-            if ((*trace)[k].mispredicted)
+            if (view.mispredicted(k))
                 mispred.add(s);
             else
                 correct.add(s);

@@ -166,7 +166,7 @@ main(int argc, char **argv)
     // simulated as evenly spaced warmup+measure regions — only the
     // sampled pages are ever touched, so the whole box stays far under
     // the 256 MiB acceptance budget a monolithic build would blow
-    // through (~640 MiB of AoS records alone).
+    // through (~470 MiB of trace columns alone).
     {
         HostProf::reset();
         constexpr std::uint64_t largeInstructions = 10'000'000;

@@ -21,6 +21,7 @@
 #include "common/stats.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "trace/trace_soa.hh"
 
 using namespace csim;
 
@@ -81,9 +82,10 @@ main(int argc, char **argv)
         criticalityGroundTruth(trace, run.sim, machine);
 
     std::map<Addr, PcStats> stats;
-    for (std::uint64_t i = 0; i < trace.size(); ++i) {
-        PcStats &s = stats[trace[i].pc];
-        s.op = trace[i].op;
+    const TraceSoA view = trace.soa();
+    for (std::uint64_t i = 0; i < view.size(); ++i) {
+        PcStats &s = stats[view.pc()[i]];
+        s.op = view.op()[i];
         ++s.execs;
         if (crit[i])
             ++s.critical;

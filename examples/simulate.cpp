@@ -16,7 +16,8 @@
  *                        proactive|block|adaptive          [focused]
  *     --instructions N   dynamic instructions per seed     [60000]
  *     --seeds a,b,c      comma-separated seeds             [1,2,3]
- *     --save PATH        also write the (last) trace to PATH
+ *     --save PATH        also write the (last) trace to PATH as a
+ *                        columnar .trc2 store
  */
 
 #include <cstdio>
@@ -30,7 +31,7 @@
 #include "harness/report.hh"
 #include "policy/extra_steering.hh"
 #include "policy/scheduling.hh"
-#include "trace/trace_io.hh"
+#include "trace/trace_store.hh"
 
 using namespace csim;
 
@@ -139,7 +140,7 @@ runOne(const Options &o, const std::string &wl,
             for (std::size_t c = 0; c < numCpCategories; ++c)
                 agg.categoryCycles[c] += bd.cycles[c];
             if (!o.savePath.empty())
-                saveTrace(trace, o.savePath);
+                saveTraceStore(trace, o.savePath);
         }
     } else {
         PolicyKind kind = PolicyKind::Focused;
@@ -165,7 +166,7 @@ runOne(const Options &o, const std::string &wl,
             wcfg.targetInstructions = o.instructions;
             wcfg.seed = o.seeds.back();
             Trace trace = buildAnnotatedTrace(wl, wcfg);
-            saveTrace(trace, o.savePath);
+            saveTraceStore(trace, o.savePath);
         }
     }
 

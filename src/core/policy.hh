@@ -38,18 +38,11 @@ class CoreView
     virtual bool completed(InstId id) const = 0;
     /** Cluster an already-steered instruction lives on. */
     virtual ClusterId clusterOf(InstId id) const = 0;
-    /** Trace record of any dynamic instruction (e.g. a producer). */
-    virtual const TraceRecord &record(InstId id) const = 0;
     /** Timing record of any dynamic instruction. */
     virtual const InstTiming &timingOf(InstId id) const = 0;
-
-    /**
-     * Static address of any dynamic instruction. Prefer this over
-     * record(id).pc when the pc is all you need: the timing core
-     * serves it from a dense SoA column instead of dragging a whole
-     * 64-byte AoS record through the cache.
-     */
-    virtual Addr pcOf(InstId id) const { return record(id).pc; }
+    /** Static address of any dynamic instruction (e.g. a producer),
+     *  served from the trace's pc column. */
+    virtual Addr pcOf(InstId id) const = 0;
 };
 
 /** The instruction presented to the steering policy. */

@@ -46,31 +46,12 @@ constexpr std::size_t numSteerReasons = 5;
 
 } // anonymous namespace
 
-TimingSim::TimingSim(const MachineConfig &config, const Trace &trace,
-                     SteeringPolicy &steering,
-                     SchedulingPolicy &scheduling,
-                     CommitListener *listener, SimOptions options)
-    : TimingSim(config, &trace, trace.soa(), steering, scheduling,
-                listener, std::move(options))
-{
-}
-
 TimingSim::TimingSim(const MachineConfig &config, const TraceSoA &soa,
                      SteeringPolicy &steering,
                      SchedulingPolicy &scheduling,
                      CommitListener *listener, SimOptions options)
-    : TimingSim(config, nullptr, soa, steering, scheduling, listener,
-                std::move(options))
-{
-}
-
-TimingSim::TimingSim(const MachineConfig &config, const Trace *trace,
-                     const TraceSoA &soa, SteeringPolicy &steering,
-                     SchedulingPolicy &scheduling,
-                     CommitListener *listener, SimOptions options)
-    : config_(config), trace_(trace), soa_(soa),
-      steering_(steering), scheduling_(scheduling),
-      listener_(listener), options_(options)
+    : config_(config), soa_(soa), steering_(steering),
+      scheduling_(scheduling), listener_(listener), options_(options)
 {
     config.validate();
     // Larger traces would overflow the id bits of the priority keys
@@ -84,8 +65,6 @@ TimingSim::TimingSim(const MachineConfig &config, const Trace *trace,
     soaCls_ = soa_.cls().data();
     soaLat_ = soa_.execLat().data();
     soaFlags_ = soa_.flags().data();
-    for (int slot = 0; slot < numSrcSlots; ++slot)
-        soaProd_[slot] = soa_.prod(slot).data();
 
     // Carve every per-instruction side table out of one arena, wide
     // columns first so each stays naturally aligned.
@@ -821,12 +800,12 @@ TimingSim::doCommit()
         t.commit = now_;
         for (SimObserver *obs : observers_)
             obs->onCommit(*this, commitIdx_);
+        const TraceRecord rec = soa_.record(commitIdx_);
         if (options_.pipeTracer)
-            options_.pipeTracer->onRetire(commitIdx_,
-                                          recordAt(commitIdx_), t);
+            options_.pipeTracer->onRetire(commitIdx_, rec, t);
         if (listener_)
             listener_->onCommit(*this, commitIdx_);
-        steering_.notifyCommit(*this, commitIdx_, recordAt(commitIdx_));
+        steering_.notifyCommit(*this, commitIdx_, rec);
         ++commitIdx_;
         ++committed;
         if (commitIdx_ == nextPhaseBoundary_)
@@ -860,7 +839,13 @@ TimingSim::doSteer()
             break;  // every window full: structural stall
         }
 
-        const TraceRecord &rec = recordAt(id);
+        const TraceRecord rec = soa_.record(id);
+        // A link must name an older instruction before the policy or
+        // the operand loop below indexes anything by it; a store
+        // crafted otherwise would index past the side tables.
+        // invalidInstId + 1 wraps to 0, so one compare covers it.
+        for (int slot = 0; slot < numSrcSlots; ++slot)
+            CSIM_ASSERT(rec.prod[slot] + 1 <= id);
         SteerRequest req{id, &rec};
         SteerDecision d = steering_.steer(*this, req);
         if (d.stall) {
@@ -896,7 +881,7 @@ TimingSim::doSteer()
         Cycle ready = now_ + 1;  // earliest possible issue
         unsigned pending = 0;
         for (int slot = 0; slot < numSrcSlots; ++slot) {
-            const InstId p = soaProd_[slot][id];
+            const InstId p = rec.prod[slot];
             if (p == invalidInstId)
                 continue;
             if (timing_[p].complete != invalidCycle) {
@@ -967,9 +952,8 @@ TimingSim::doFetch()
     const std::uint64_t fetch_bound = fetchBound();
 
     constexpr std::uint8_t mispredictedCond =
-        TraceSoA::flagIsCondBranch | TraceSoA::flagMispredicted;
-    constexpr std::uint8_t takenBranch =
-        TraceSoA::flagIsBranch | TraceSoA::flagTaken;
+        flagIsCondBranch | flagMispredicted;
+    constexpr std::uint8_t takenBranch = flagIsBranch | flagTaken;
 
     unsigned fetched = 0;
     while (fetched < config_.fetchWidth && fetchIdx_ < n &&

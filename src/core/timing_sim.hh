@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -123,7 +124,8 @@ class TimingSim : public CoreView
   public:
     /**
      * @param config Machine geometry.
-     * @param trace Annotated, producer-linked dynamic trace.
+     * @param trace Annotated, producer-linked dynamic trace (viewed
+     *        through trace.soa(); it must outlive the simulation).
      * @param steering Cluster-assignment policy.
      * @param scheduling Issue-priority policy.
      * @param listener Optional commit observer (predictor training).
@@ -131,13 +133,15 @@ class TimingSim : public CoreView
     TimingSim(const MachineConfig &config, const Trace &trace,
               SteeringPolicy &steering, SchedulingPolicy &scheduling,
               CommitListener *listener = nullptr,
-              SimOptions options = SimOptions{});
+              SimOptions options = SimOptions{})
+        : TimingSim(config, trace.soa(), steering, scheduling, listener,
+                    std::move(options))
+    {}
 
     /**
-     * Simulate straight off a column view (e.g. an mmap-ed trace
-     * store) with no AoS trace behind it: record() reassembles
-     * requested records from the columns on demand. The view must
-     * outlive the simulation.
+     * Simulate a column view: a Trace's, or an mmap-ed trace store's.
+     * The sim keeps its own copy of the view; the columns behind it
+     * must outlive the simulation.
      */
     TimingSim(const MachineConfig &config, const TraceSoA &soa,
               SteeringPolicy &steering, SchedulingPolicy &scheduling,
@@ -155,10 +159,6 @@ class TimingSim : public CoreView
     bool inFlight(InstId id) const override;
     bool completed(InstId id) const override;
     ClusterId clusterOf(InstId id) const override;
-    const TraceRecord &record(InstId id) const override
-    {
-        return recordAt(id);
-    }
     const InstTiming &timingOf(InstId id) const override
     {
         return timing_[id];
@@ -172,26 +172,6 @@ class TimingSim : public CoreView
     std::uint64_t skipCycles() const { return skipCycles_; }
 
   private:
-    TimingSim(const MachineConfig &config, const Trace *trace,
-              const TraceSoA &soa, SteeringPolicy &steering,
-              SchedulingPolicy &scheduling, CommitListener *listener,
-              SimOptions options);
-
-    /**
-     * One AoS record. Backed by the source trace when there is one;
-     * otherwise reassembled from the columns into a single scratch
-     * slot, so the returned reference is only valid until the next
-     * call (matching how every caller uses it: read, then drop).
-     */
-    const TraceRecord &
-    recordAt(InstId id) const
-    {
-        if (trace_)
-            return (*trace_)[id];
-        scratchRecord_ = soa_.record(id);
-        return scratchRecord_;
-    }
-
     /** Validate options_.phases against the trace and arm the first
      *  boundary. */
     void initPhases();
@@ -250,13 +230,9 @@ class TimingSim : public CoreView
 
     /** Stored by value so callers may pass temporaries. */
     const MachineConfig config_;
-    /** The source AoS trace, or null when simulating a bare column
-     *  view (an mmap-ed store); must outlive the simulation. */
-    const Trace *trace_;
-    /** Column view (of trace_, or standalone when trace_ is null). */
-    const TraceSoA &soa_;
-    /** recordAt() reassembly slot for the column-view-only case. */
-    mutable TraceRecord scratchRecord_;
+    /** The trace's column view, by value: a temporary view passed to
+     *  the constructor never dangles. */
+    const TraceSoA soa_;
     SteeringPolicy &steering_;
     SchedulingPolicy &scheduling_;
     CommitListener *listener_;
@@ -270,7 +246,6 @@ class TimingSim : public CoreView
     const OpClass *soaCls_ = nullptr;
     const std::uint8_t *soaLat_ = nullptr;
     const std::uint8_t *soaFlags_ = nullptr;
-    const InstId *soaProd_[numSrcSlots] = {nullptr, nullptr, nullptr};
 
     Cycle now_ = 0;
     std::vector<Cluster> clusters_;

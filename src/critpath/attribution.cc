@@ -3,6 +3,7 @@
 #include <span>
 
 #include "common/logging.hh"
+#include "trace/trace_soa.hh"
 
 namespace csim {
 
@@ -102,9 +103,10 @@ OnlineCriticalityTrainer::flush(const CoreView &view)
     CriticalPathResult res = analyzeCriticalPath(
         trace_, std::span<const InstTiming>(buffer_), view.config(),
         chunkBegin_);
+    const std::span<const Addr> pcs = trace_.soa().pc();
     for (std::size_t k = 0; k < buffer_.size(); ++k) {
         const bool crit = res.criticalExec[k];
-        const Addr pc = trace_[chunkBegin_ + k].pc;
+        const Addr pc = pcs[chunkBegin_ + k];
         if (critPred_)
             critPred_->train(pc, crit);
         if (locPred_)

@@ -3,6 +3,7 @@
 #include <unordered_map>
 
 #include "critpath/attribution.hh"
+#include "trace/trace_soa.hh"
 
 namespace csim {
 
@@ -14,6 +15,8 @@ analyzeConsumers(const Trace &trace, const SimResult &result,
     const std::uint64_t n = trace.size();
     if (n == 0)
         return out;
+    const TraceSoA view = trace.soa();
+    const std::span<const Addr> pc = view.pc();
 
     // Ground-truth criticality and per-PC criticality frequency (the
     // "true LoC" of each static instruction).
@@ -22,7 +25,7 @@ analyzeConsumers(const Trace &trace, const SimResult &result,
     std::unordered_map<Addr, std::pair<std::uint64_t, std::uint64_t>>
         pc_crit;  // pc -> (critical count, total count)
     for (std::uint64_t i = 0; i < n; ++i) {
-        auto &e = pc_crit[trace[i].pc];
+        auto &e = pc_crit[pc[i]];
         ++e.second;
         if (critical[i])
             ++e.first;
@@ -37,7 +40,7 @@ analyzeConsumers(const Trace &trace, const SimResult &result,
     std::vector<std::vector<InstId>> consumers(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         for (int slot = srcSlot1; slot <= srcSlot2; ++slot) {
-            const InstId p = trace[i].prod[slot];
+            const InstId p = view.prod(slot)[i];
             if (p != invalidInstId)
                 consumers[p].push_back(i);
         }
@@ -64,18 +67,18 @@ analyzeConsumers(const Trace &trace, const SimResult &result,
             ++out.multiConsumerValues;
 
         InstId best = cons.front();
-        double best_loc = loc_truth(trace[best].pc);
+        double best_loc = loc_truth(pc[best]);
         for (std::size_t k = 1; k < cons.size(); ++k) {
-            const double l = loc_truth(trace[cons[k]].pc);
+            const double l = loc_truth(pc[cons[k]]);
             if (l > best_loc) {
                 best_loc = l;
                 best = cons[k];
             }
         }
 
-        votes[trace[p].pc][trace[best].pc] += 1;
+        votes[pc[p]][pc[best]] += 1;
         for (InstId c : cons) {
-            auto &e = consumer_tendency[trace[c].pc];
+            auto &e = consumer_tendency[pc[c]];
             ++e.second;
             if (c == best)
                 ++e.first;

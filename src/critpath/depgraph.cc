@@ -1,6 +1,7 @@
 #include "critpath/depgraph.hh"
 
 #include "common/logging.hh"
+#include "trace/trace_soa.hh"
 
 namespace csim {
 
@@ -37,6 +38,7 @@ analyzeCriticalPath(const Trace &trace,
     if (n == 0)
         return res;
     const std::uint64_t end = begin + n;
+    const TraceSoA view = trace.soa();
 
     auto tm = [&](std::uint64_t i) -> const InstTiming & {
         return timing[i - begin];
@@ -52,7 +54,7 @@ analyzeCriticalPath(const Trace &trace,
         std::int64_t last = -1;
         for (std::uint64_t i = begin; i < end; ++i) {
             last_mispred[i - begin] = last;
-            if (trace[i].isCondBranch && trace[i].mispredicted)
+            if (view.isCondBranch(i) && view.mispredicted(i))
                 last = static_cast<std::int64_t>(i);
         }
     }
@@ -93,12 +95,11 @@ analyzeCriticalPath(const Trace &trace,
 
           case NodeKind::Execute: {
             const InstTiming &t = tm(i);
-            const TraceRecord &rec = trace[i];
             res.criticalExec[i - begin] = true;
 
             // Latency: split load-miss cycles out as memory latency.
-            const unsigned base = opLatency(rec.op);
-            const unsigned lat = rec.execLat;
+            const unsigned base = opLatency(view.op()[i]);
+            const unsigned lat = view.execLat()[i];
             attr(std::min<unsigned>(lat, base), CpCategory::Execute);
             if (lat > base)
                 attr(lat - base, CpCategory::MemLatency);
@@ -133,7 +134,7 @@ analyzeCriticalPath(const Trace &trace,
             int num_candidates = 0;
             bool any_cross = false;
             for (int slot = 0; slot < numSrcSlots; ++slot) {
-                const InstId p = rec.prod[slot];
+                const InstId p = view.prod(slot)[i];
                 if (p == invalidInstId || p < begin)
                     continue;
                 const bool cross =

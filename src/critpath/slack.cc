@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/logging.hh"
+#include "trace/trace_soa.hh"
 
 namespace csim {
 
@@ -16,15 +17,15 @@ analyzeSlack(const Trace &trace, const SimResult &result,
     const std::uint64_t n = trace.size();
     CSIM_ASSERT(result.timing.size() == n);
     out.localSlack.assign(n, cap);
+    const TraceSoA view = trace.soa();
 
     // Pass 1: first-use time of each value — min over consumers of
     // (consumer.issue - arrival).
     std::vector<bool> has_consumer(n, false);
     for (std::uint64_t i = 0; i < n; ++i) {
-        const TraceRecord &rec = trace[i];
         const InstTiming &t = result.timing[i];
         for (int slot = 0; slot < numSrcSlots; ++slot) {
-            const InstId p = rec.prod[slot];
+            const InstId p = view.prod(slot)[i];
             if (p == invalidInstId)
                 continue;
             const InstTiming &pt = result.timing[p];
@@ -40,9 +41,8 @@ analyzeSlack(const Trace &trace, const SimResult &result,
 
     // Pass 2: instructions whose timing is not consumer-driven.
     for (std::uint64_t i = 0; i < n; ++i) {
-        const TraceRecord &rec = trace[i];
         const InstTiming &t = result.timing[i];
-        if (rec.isCondBranch && rec.mispredicted) {
+        if (view.isCondBranch(i) && view.mispredicted(i)) {
             // A mispredicted branch gates the fetch redirect.
             out.localSlack[i] = 0;
         } else if (!has_consumer[i]) {
@@ -63,7 +63,7 @@ analyzeSlack(const Trace &trace, const SimResult &result,
     };
     std::unordered_map<Addr, Acc> acc;
     for (std::uint64_t i = 0; i < n; ++i) {
-        Acc &a = acc[trace[i].pc];
+        Acc &a = acc[view.pc()[i]];
         const double s = static_cast<double>(out.localSlack[i]);
         ++a.count;
         a.sum += s;

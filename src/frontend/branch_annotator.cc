@@ -1,6 +1,7 @@
 #include "frontend/branch_annotator.hh"
 
 #include "frontend/gshare.hh"
+#include "trace/trace_soa.hh"
 
 namespace csim {
 
@@ -15,15 +16,16 @@ BranchAnnotateResult
 annotateBranches(Trace &trace, GsharePredictor &pred)
 {
     BranchAnnotateResult res;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        TraceRecord &rec = trace[i];
-        if (!rec.isCondBranch) {
-            rec.mispredicted = false;
+    const TraceSoA view = trace.soa();
+    for (std::size_t i = 0; i < view.size(); ++i) {
+        if (!view.isCondBranch(i)) {
+            trace.setMispredicted(i, false);
             continue;
         }
         ++res.condBranches;
-        rec.mispredicted = pred.mispredicts(rec.pc, rec.taken);
-        if (rec.mispredicted)
+        const bool miss = pred.mispredicts(view.pc()[i], view.taken(i));
+        trace.setMispredicted(i, miss);
+        if (miss)
             ++res.mispredictions;
     }
     return res;

@@ -11,7 +11,6 @@
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "obs/host_prof.hh"
-#include "trace/trace_soa.hh"
 #include "trace/trace_store.hh"
 
 namespace csim {
@@ -185,26 +184,18 @@ TraceCache::get(const std::string &workload, const WorkloadConfig &cfg,
             if (loadTraceStore(soa, spill_path, &info) ==
                 TraceIoStatus::Ok) {
                 mmap_bytes = info.fileBytes;
-                // Rebase into an owning AoS trace (base 0: identity),
-                // releasing the mapping when `soa` goes out of scope.
-                auto loaded = std::make_shared<Trace>(
+                // Copy the columns into an owning trace (base 0: the
+                // links stay as they are), releasing the mapping when
+                // `soa` goes out of scope.
+                return std::make_shared<const Trace>(
                     extractRegion(soa, 0, soa.size()));
-                (void)loaded->soa();
-                return std::shared_ptr<const Trace>(std::move(loaded));
             }
             // Unreadable spill file: fall back to a fresh build.
             spill_fallback = true;
         }
         HOST_PROF_SCOPE("traceCache.build");
-        std::shared_ptr<const Trace> built =
-            buildSharedAnnotatedTrace(workload, cfg, mem,
-                                      gshare_bits);
-        // Materialise the column view while the trace is still ours
-        // alone: every sim run will want it, and building it here
-        // keeps the cost inside the build scope instead of racing the
-        // first consumers for the lazy-init mutex.
-        (void)built->soa();
-        return built;
+        return buildSharedAnnotatedTrace(workload, cfg, mem,
+                                         gshare_bits);
     }();
     const std::uint64_t build_ns = wallNs() - build_start;
     promise.set_value(trace);

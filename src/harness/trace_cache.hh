@@ -104,7 +104,7 @@ class TraceCache
     struct Slot
     {
         std::shared_future<std::shared_ptr<const Trace>> future;
-        /** Approximate footprint; known once the build finished. */
+        /** Trace::footprintBytes(); known once the build finished. */
         std::size_t bytes = 0;
         bool ready = false;
         std::uint64_t lastUse = 0;

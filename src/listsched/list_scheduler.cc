@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 #include "core/cluster.hh"
+#include "trace/trace_soa.hh"
 
 namespace csim {
 
@@ -84,6 +85,7 @@ listSchedule(const Trace &trace,
 
     const std::vector<Region> regions =
         splitRegions(trace, options.maxRegion);
+    const TraceSoA view = trace.soa();
     result.regions = regions.size();
 
     std::vector<Cycle> completion(n, 0);
@@ -113,7 +115,7 @@ listSchedule(const Trace &trace,
         // Region-internal consumer lists and pending-producer counts.
         for (std::uint64_t i = b; i < e; ++i) {
             for (int slot = 0; slot < numSrcSlots; ++slot) {
-                const InstId p = trace[i].prod[slot];
+                const InstId p = view.prod(slot)[i];
                 if (p == invalidInstId || p < b)
                     continue;
                 consumers[p - b].push_back(
@@ -132,10 +134,10 @@ listSchedule(const Trace &trace,
             for (std::uint64_t k = m; k-- > 0;) {
                 const std::uint64_t i = b + k;
                 const std::int64_t h =
-                    trace[i].execLat + chain_best[k];
+                    view.execLat()[i] + chain_best[k];
                 prio[k] = h + (on_slice[k] ? sliceBonus : 0);
                 for (int slot = 0; slot < numSrcSlots; ++slot) {
-                    const InstId p = trace[i].prod[slot];
+                    const InstId p = view.prod(slot)[i];
                     if (p == invalidInstId || p < b)
                         continue;
                     chain_best[p - b] =
@@ -148,11 +150,11 @@ listSchedule(const Trace &trace,
           }
           case ListSchedOptions::Priority::Loc:
             for (std::uint64_t k = 0; k < m; ++k)
-                prio[k] = options.locPred->level(trace[b + k].pc);
+                prio[k] = options.locPred->level(view.pc()[b + k]);
             break;
           case ListSchedOptions::Priority::BinaryCritical:
             for (std::uint64_t k = 0; k < m; ++k)
-                prio[k] = options.critPred->predict(trace[b + k].pc)
+                prio[k] = options.critPred->predict(view.pc()[b + k])
                     ? 1 : 0;
             break;
         }
@@ -174,7 +176,11 @@ listSchedule(const Trace &trace,
                 static_cast<std::uint64_t>(-ready.top().second);
             ready.pop();
             const std::uint64_t i = b + k;
-            const TraceRecord &rec = trace[i];
+            const OpClass cls = view.cls()[i];
+            const unsigned exec_lat = view.execLat()[i];
+            InstId prod[numSrcSlots];
+            for (int slot = 0; slot < numSrcSlots; ++slot)
+                prod[slot] = view.prod(slot)[i];
 
             // The fetch constraint: no earlier than the cycle the 1x8w
             // machine dispatched it, rebased to this region's start.
@@ -192,7 +198,7 @@ listSchedule(const Trace &trace,
                 Cycle est = fetch_floor;
                 bool producer_here = false;
                 for (int slot = 0; slot < numSrcSlots; ++slot) {
-                    const InstId p = rec.prod[slot];
+                    const InstId p = prod[slot];
                     if (p == invalidInstId)
                         continue;
                     Cycle avail = completion[p];
@@ -204,8 +210,8 @@ listSchedule(const Trace &trace,
                     }
                     est = std::max(est, avail);
                 }
-                const Cycle t = grid.findSlot(c, est, clock, rec.cls);
-                const Cycle done = t + rec.execLat;
+                const Cycle t = grid.findSlot(c, est, clock, cls);
+                const Cycle done = t + exec_lat;
                 const bool better = done < best_completion ||
                     (done == best_completion && producer_here &&
                      !best_is_producer_cluster);
@@ -217,7 +223,7 @@ listSchedule(const Trace &trace,
                 }
             }
 
-            grid.claim(best_cluster, best_start, clock, rec.cls);
+            grid.claim(best_cluster, best_start, clock, cls);
             completion[i] = best_completion;
             cluster_of[i] = best_cluster;
             makespan = std::max(makespan, best_completion);
@@ -226,7 +232,7 @@ listSchedule(const Trace &trace,
             // Count cross-cluster value deliveries (deduplicated per
             // producer and destination cluster).
             for (int slot = srcSlot1; slot <= srcSlot2; ++slot) {
-                const InstId p = rec.prod[slot];
+                const InstId p = prod[slot];
                 if (p == invalidInstId || cluster_of[p] == best_cluster)
                     continue;
                 const std::uint64_t key =

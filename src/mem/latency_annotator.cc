@@ -1,6 +1,7 @@
 #include "mem/latency_annotator.hh"
 
 #include "common/logging.hh"
+#include "trace/trace_soa.hh"
 
 namespace csim {
 
@@ -16,18 +17,18 @@ annotateMemory(Trace &trace, Cache &l1, const MemoryModelConfig &config)
 {
     MemAnnotateResult res;
 
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        TraceRecord &rec = trace[i];
-        if (rec.isLoad()) {
-            bool hit = l1.access(rec.memAddr);
-            rec.l1Miss = !hit;
+    const TraceSoA view = trace.soa();
+    for (std::size_t i = 0; i < view.size(); ++i) {
+        if (view.isLoad(i)) {
+            bool hit = l1.access(view.memAddr()[i]);
+            trace.setL1Miss(i, !hit);
             unsigned lat = config.loadToUse + (hit ? 0 : config.l2Latency);
             CSIM_ASSERT(lat <= 255);
-            rec.execLat = static_cast<std::uint8_t>(lat);
+            trace.setExecLat(i, static_cast<std::uint8_t>(lat));
             if (!hit)
                 ++res.loadMisses;
-        } else if (rec.isStore()) {
-            l1.access(rec.memAddr);
+        } else if (view.isStore(i)) {
+            l1.access(view.memAddr()[i]);
         }
     }
 

@@ -91,7 +91,7 @@ IntervalSeries::merge(const IntervalSeries &other)
 IntervalProfiler::IntervalProfiler(const MachineConfig &config,
                                    const Trace &trace,
                                    IntervalProfilerOptions options)
-    : config_(config), trace_(trace), options_(options)
+    : config_(config), trace_(trace.soa()), options_(options)
 {
     CSIM_ASSERT(options_.intervalCycles >= 1);
     // A run over an empty trace returns before any observer hook
@@ -241,15 +241,13 @@ IntervalProfiler::classifyCycle(const CoreView &view) const
         // (memory > bypass-in-flight > execution latency).
         bool saw_memory = false;
         bool saw_bypass = false;
-        const TraceRecord &rec = trace_[head];
         for (int slot = 0; slot < numSrcSlots; ++slot) {
-            const InstId p = rec.prod[static_cast<std::size_t>(slot)];
+            const InstId p = trace_.prod(slot)[head];
             if (p == invalidInstId)
                 continue;
             const InstTiming &pt = view.timingOf(p);
             if (pt.complete == invalidCycle || pt.complete > now) {
-                const TraceRecord &prec = trace_[p];
-                if (prec.isLoad() && prec.l1Miss)
+                if (trace_.isLoad(p) && trace_.l1Miss(p))
                     saw_memory = true;
             } else if (slot != srcSlotMem &&
                        pt.cluster != ht.cluster &&
@@ -265,9 +263,8 @@ IntervalProfiler::classifyCycle(const CoreView &view) const
         return CpiComponent::Execute;
     }
     if (ht.complete == invalidCycle || ht.complete > now) {
-        const TraceRecord &rec = trace_[head];
-        return rec.isLoad() && rec.l1Miss ? CpiComponent::Memory :
-            CpiComponent::Execute;
+        return trace_.isLoad(head) && trace_.l1Miss(head) ?
+            CpiComponent::Memory : CpiComponent::Execute;
     }
     // Issued and complete, awaiting commit bandwidth.
     return CpiComponent::Base;

@@ -52,6 +52,7 @@
 #include "core/timing.hh"
 #include "obs/stats_registry.hh"
 #include "trace/trace.hh"
+#include "trace/trace_soa.hh"
 
 namespace csim {
 
@@ -207,7 +208,8 @@ class IntervalProfiler : public SimObserver
     void initSeriesGeometry();
 
     const MachineConfig config_;
-    const Trace &trace_;
+    /** The trace's column view (the trace must outlive the profiler). */
+    const TraceSoA trace_;
     IntervalProfilerOptions options_;
 
     IntervalSeries series_;

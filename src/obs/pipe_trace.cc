@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/logging.hh"
+#include "trace/trace_soa.hh"
 
 namespace csim {
 
@@ -59,10 +60,16 @@ writePipeTrace(std::ostream &out, const Trace &trace,
                const std::vector<InstTiming> &timing,
                PipeTraceOptions options)
 {
-    CSIM_ASSERT(timing.size() >= trace.size());
+    const TraceSoA view = trace.soa();
+    CSIM_ASSERT(timing.size() >= view.size());
     PipeTracer tracer(out, options);
-    for (InstId id = 0; id < trace.size(); ++id)
-        tracer.onRetire(id, trace[id], timing[id]);
+    // The O3PipeView lines carry only the pc and the opcode.
+    TraceRecord rec;
+    for (InstId id = 0; id < view.size(); ++id) {
+        rec.pc = view.pc()[id];
+        rec.op = view.op()[id];
+        tracer.onRetire(id, rec, timing[id]);
+    }
 }
 
 } // namespace csim

@@ -7,66 +7,47 @@
 
 namespace csim {
 
-// Out of line: TraceSoA is incomplete where the header declares the
-// unique_ptr member.
-Trace::Trace() = default;
-Trace::~Trace() = default;
-
-Trace::Trace(const Trace &other) : records_(other.records_) {}
-
-Trace::Trace(Trace &&other) noexcept
-    : records_(std::move(other.records_))
-{}
-
-Trace &
-Trace::operator=(const Trace &other)
+void
+Trace::sizeColumns(std::size_t n)
 {
-    if (this != &other) {
-        records_ = other.records_;
-        invalidateSoA();
-    }
-    return *this;
+    if (memAddr_.size() >= n)
+        return;
+    memAddr_.resize(n);
+    for (auto &col : prod_)
+        col.resize(n);
+    op_.resize(n);
+    cls_.resize(n);
+    execLat_.resize(n);
+    flags_.resize(n);
+    dest_.resize(n);
+    src1_.resize(n);
+    src2_.resize(n);
 }
 
-Trace &
-Trace::operator=(Trace &&other) noexcept
+TraceRecord
+Trace::operator[](std::size_t i) const
 {
-    if (this != &other) {
-        records_ = std::move(other.records_);
-        invalidateSoA();
-    }
-    return *this;
+    return soa().record(i);
 }
 
-const TraceSoA &
+TraceSoA
 Trace::soa() const
 {
-    std::lock_guard<std::mutex> lock(soaMutex_);
-    if (!soa_)
-        soa_ = std::make_unique<TraceSoA>(*this);
-    return *soa_;
-}
-
-std::size_t
-Trace::footprintBytes() const
-{
-    std::lock_guard<std::mutex> lock(soaMutex_);
-    return records_.size() * sizeof(TraceRecord) +
-        (soa_ ? soa_->arenaBytes() : 0);
-}
-
-void
-Trace::invalidateSoA()
-{
-    // Mutation requires exclusive access to the trace (concurrent
-    // readers of a trace being appended to are already a data race on
-    // records_), so the unlocked empty check cannot miss a concurrent
-    // build. It keeps the hot build loop — one call per appended or
-    // annotated record — from taking the mutex 3x per instruction.
-    if (!soa_)
-        return;
-    std::lock_guard<std::mutex> lock(soaMutex_);
-    soa_.reset();
+    TraceSoA::Columns cols;
+    cols.size = size();
+    cols.producerLinks = producerLinks_;
+    cols.pc = pc_.data();
+    cols.memAddr = memAddr_.data();
+    for (int slot = 0; slot < numSrcSlots; ++slot)
+        cols.prod[slot] = prod_[slot].data();
+    cols.op = op_.data();
+    cols.cls = cls_.data();
+    cols.execLat = execLat_.data();
+    cols.flags = flags_.data();
+    cols.dest = dest_.data();
+    cols.src1 = src1_.data();
+    cols.src2 = src2_.data();
+    return TraceSoA(cols);
 }
 
 namespace {
@@ -80,9 +61,9 @@ struct SrcRegs
 
 // Mirror Instruction::numSrcs() without materialising an Instruction.
 SrcRegs
-srcsOf(const TraceRecord &rec)
+srcsOf(Opcode op, RegIndex src1, RegIndex src2)
 {
-    switch (rec.op) {
+    switch (op) {
       case Opcode::Lui:
       case Opcode::Jmp:
       case Opcode::Nop:
@@ -93,9 +74,9 @@ srcsOf(const TraceRecord &rec)
       case Opcode::Beq:
       case Opcode::Bne:
       case Opcode::Itof:
-        return {1, rec.src1, zeroReg};
+        return {1, src1, zeroReg};
       default:
-        return {2, rec.src1, rec.src2};
+        return {2, src1, src2};
     }
 }
 
@@ -111,46 +92,50 @@ Trace::linkProducers()
 void
 StreamingProducerLinker::link(Trace &chunk, InstId base)
 {
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
-        TraceRecord &rec = chunk[i];
+    const TraceSoA view = chunk.soa();
+    for (std::size_t i = 0; i < view.size(); ++i) {
         const InstId id = base + i;
-        rec.prod = {invalidInstId, invalidInstId, invalidInstId};
+        std::array<InstId, numSrcSlots> prod = {
+            invalidInstId, invalidInstId, invalidInstId};
 
-        const SrcRegs srcs = srcsOf(rec);
+        const SrcRegs srcs =
+            srcsOf(view.op()[i], view.src1()[i], view.src2()[i]);
         if (srcs.n >= 1 && srcs.s1 != zeroReg)
-            rec.prod[srcSlot1] = lastWriter_[srcs.s1];
+            prod[srcSlot1] = lastWriter_[srcs.s1];
         if (srcs.n >= 2 && srcs.s2 != zeroReg)
-            rec.prod[srcSlot2] = lastWriter_[srcs.s2];
+            prod[srcSlot2] = lastWriter_[srcs.s2];
 
-        if (rec.isLoad()) {
-            auto it = lastStore_.find(rec.memAddr >> 3);
+        if (view.isLoad(i)) {
+            auto it = lastStore_.find(view.memAddr()[i] >> 3);
             if (it != lastStore_.end())
-                rec.prod[srcSlotMem] = it->second;
-        } else if (rec.isStore()) {
-            lastStore_[rec.memAddr >> 3] = id;
+                prod[srcSlotMem] = it->second;
+        } else if (view.isStore(i)) {
+            lastStore_[view.memAddr()[i] >> 3] = id;
         }
 
-        if (rec.hasDest())
-            lastWriter_[rec.dest] = id;
+        if (view.hasDest(i))
+            lastWriter_[view.dest()[i]] = id;
+        chunk.setProducers(i, prod);
     }
 }
 
 bool
 Trace::wellFormed() const
 {
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-        const TraceRecord &rec = records_[i];
-        if (rec.op >= Opcode::NumOpcodes)
+    for (std::size_t i = 0; i < size(); ++i) {
+        const Opcode op = op_[i];
+        if (op >= Opcode::NumOpcodes)
             return false;
-        if (rec.cls != opClass(rec.op))
+        if (cls_[i] != opClass(op))
             return false;
-        if (rec.execLat == 0)
+        if (execLat_[i] == 0)
             return false;
-        if (rec.isBranch != isBranch(rec.op) ||
-            rec.isCondBranch != isCondBranch(rec.op))
+        const std::uint8_t f = flags_[i];
+        if (bool(f & flagIsBranch) != isBranch(op) ||
+            bool(f & flagIsCondBranch) != isCondBranch(op))
             return false;
         for (int slot = 0; slot < numSrcSlots; ++slot) {
-            const InstId p = rec.prod[slot];
+            const InstId p = prod_[slot][i];
             if (p != invalidInstId && p >= i)
                 return false;
         }
@@ -162,24 +147,25 @@ TraceStats
 Trace::stats() const
 {
     TraceStats s;
-    s.instructions = records_.size();
-    for (const TraceRecord &rec : records_) {
-        if (rec.isBranch) {
+    s.instructions = size();
+    for (std::size_t i = 0; i < size(); ++i) {
+        const std::uint8_t f = flags_[i];
+        if (f & flagIsBranch) {
             ++s.branches;
-            if (rec.isCondBranch) {
+            if (f & flagIsCondBranch) {
                 ++s.condBranches;
-                if (rec.mispredicted)
+                if (f & flagMispredicted)
                     ++s.mispredicted;
             }
         }
-        if (rec.isLoad()) {
+        if (cls_[i] == OpClass::Load) {
             ++s.loads;
-            if (rec.l1Miss)
+            if (f & flagL1Miss)
                 ++s.l1Misses;
         }
-        if (rec.isStore())
+        if (cls_[i] == OpClass::Store)
             ++s.stores;
-        if (isFpClass(rec.cls))
+        if (isFpClass(cls_[i]))
             ++s.fpOps;
     }
     return s;

@@ -13,9 +13,8 @@
 #define CSIM_TRACE_TRACE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +27,18 @@ class TraceSoA;
 
 /** Source operand slots: two register sources plus a memory dependence. */
 enum SrcSlot { srcSlot1 = 0, srcSlot2 = 1, srcSlotMem = 2, numSrcSlots = 3 };
+
+/** Packed per-instruction boolean annotations (the flags column). */
+enum TraceFlag : std::uint8_t
+{
+    flagIsBranch = 1u << 0,
+    flagIsCondBranch = 1u << 1,
+    flagTaken = 1u << 2,
+    flagMispredicted = 1u << 3,
+    flagL1Miss = 1u << 4,
+    /** writesDest(op) && dest != zeroReg, precomputed. */
+    flagHasDest = 1u << 5,
+};
 
 /**
  * One dynamic instruction. Producers refer to older trace records by
@@ -95,80 +106,116 @@ struct TraceStats
 };
 
 /**
- * A dynamic trace plus the producer-linkage pass.
- *
- * The AoS record vector is the build/annotation format; soa() derives
- * (and caches) the column-oriented TraceSoA the timing core consumes.
- * Any mutation drops the cached SoA, so a stale view can never be
- * observed through this object.
+ * A dynamic trace, held as twelve per-field columns: pc, memAddr, the
+ * three producer columns, op, cls, execLat, packed flags, dest, src1
+ * and src2 — the layout the timing core, the analyses and the v2
+ * trace store all read. append() scatters a record into the columns;
+ * operator[] gathers one back. The passes that annotate a built trace
+ * write only the columns they own, through the setters below.
  */
 class Trace
 {
   public:
-    Trace();
-    ~Trace();
+    /** Host bytes per instruction: five 8-byte and seven 1-byte
+     *  columns. */
+    static constexpr std::size_t bytesPerInstruction =
+        2 * sizeof(Addr) + numSrcSlots * sizeof(InstId) +
+        sizeof(Opcode) + sizeof(OpClass) + 2 * sizeof(std::uint8_t) +
+        3 * sizeof(RegIndex);
 
-    // The cached SoA (and its guarding mutex) is derived state: copies
-    // and moves transfer only the records and rebuild it on demand.
-    // Out of line: their bodies need TraceSoA complete.
-    Trace(const Trace &other);
-    Trace(Trace &&other) noexcept;
-    Trace &operator=(const Trace &other);
-    Trace &operator=(Trace &&other) noexcept;
-
+    /** Scatter one record into the columns (packing its flags). */
     void
-    append(TraceRecord rec)
+    append(const TraceRecord &rec)
     {
-        invalidateSoA();
-        records_.push_back(rec);
+        const std::size_t i = pc_.size();
+        if (i == memAddr_.size())
+            sizeColumns(2 * i + 16);
+        pc_.push_back(rec.pc);
+        memAddr_[i] = rec.memAddr;
+        for (int slot = 0; slot < numSrcSlots; ++slot) {
+            prod_[slot][i] = rec.prod[slot];
+            producerLinks_ += rec.prod[slot] != invalidInstId;
+        }
+        op_[i] = rec.op;
+        cls_[i] = rec.cls;
+        execLat_[i] = rec.execLat;
+        flags_[i] = static_cast<std::uint8_t>(
+            (rec.isBranch ? flagIsBranch : 0) |
+            (rec.isCondBranch ? flagIsCondBranch : 0) |
+            (rec.taken ? flagTaken : 0) |
+            (rec.mispredicted ? flagMispredicted : 0) |
+            (rec.l1Miss ? flagL1Miss : 0) |
+            (rec.hasDest() ? flagHasDest : 0));
+        dest_[i] = rec.dest;
+        src1_[i] = rec.src1;
+        src2_[i] = rec.src2;
     }
 
-    /** Drop every record but keep the capacity, so a reused chunk
-     *  buffer refills without reallocating. */
+    /** Drop every instruction but keep the capacity, so a reused
+     *  chunk buffer refills without reallocating. */
     void
     clear()
     {
-        invalidateSoA();
-        records_.clear();
+        pc_.clear();
+        producerLinks_ = 0;
     }
 
-    /** Make room for n records up front (no regrowth while they are
-     *  appended). */
-    void reserve(std::size_t n) { records_.reserve(n); }
-    std::size_t capacity() const { return records_.capacity(); }
-
-    std::size_t size() const { return records_.size(); }
-    bool empty() const { return records_.empty(); }
-    const TraceRecord &operator[](std::size_t i) const
+    /** Make room for n instructions up front (no regrowth while they
+     *  are appended). */
+    void
+    reserve(std::size_t n)
     {
-        return records_[i];
+        pc_.reserve(n);
+        sizeColumns(n);
     }
-    TraceRecord &
-    operator[](std::size_t i)
-    {
-        // Handing out a mutable reference may change any field, so the
-        // derived columns cannot be trusted afterwards.
-        invalidateSoA();
-        return records_[i];
-    }
+    std::size_t capacity() const { return pc_.capacity(); }
 
-    auto begin() const { return records_.begin(); }
-    auto end() const { return records_.end(); }
+    std::size_t size() const { return pc_.size(); }
+    bool empty() const { return pc_.empty(); }
+
+    /** Instruction i, gathered from the columns. */
+    TraceRecord operator[](std::size_t i) const;
 
     /**
-     * The structure-of-arrays view of this trace, built lazily on
-     * first use and cached (thread-safe: concurrent sweep cells share
-     * one immutable trace). The reference stays valid until the trace
-     * is mutated or destroyed.
+     * Read-only view of the columns. It builds nothing; it stays valid
+     * until the trace grows, is cleared, or is destroyed.
      */
-    const TraceSoA &soa() const;
+    TraceSoA soa() const;
 
-    /**
-     * Host bytes held by this trace: the AoS records plus the SoA
-     * arena when the column view has been materialized. This is what
-     * the TraceCache byte budget accounts.
-     */
-    std::size_t footprintBytes() const;
+    /** Host bytes held by this trace (what the TraceCache budget
+     *  accounts). */
+    std::size_t
+    footprintBytes() const
+    {
+        return size() * bytesPerInstruction;
+    }
+
+    // Column writers of the passes that annotate a built trace.
+    /** Producer links of instruction i (the linker's column). */
+    void
+    setProducers(std::size_t i,
+                 const std::array<InstId, numSrcSlots> &prod)
+    {
+        for (int slot = 0; slot < numSrcSlots; ++slot) {
+            producerLinks_ -= prod_[slot][i] != invalidInstId;
+            producerLinks_ += prod[slot] != invalidInstId;
+            prod_[slot][i] = prod[slot];
+        }
+    }
+    /** Branch outcome of instruction i (the branch annotator's). */
+    void
+    setMispredicted(std::size_t i, bool mispredicted)
+    {
+        setFlag(i, flagMispredicted, mispredicted);
+    }
+    /** L1 outcome and latency of instruction i (the cache
+     *  annotator's). */
+    void
+    setL1Miss(std::size_t i, bool miss)
+    {
+        setFlag(i, flagL1Miss, miss);
+    }
+    void setExecLat(std::size_t i, std::uint8_t lat) { execLat_[i] = lat; }
 
     /**
      * Fill in the producer links: for each register source, the most
@@ -184,19 +231,44 @@ class Trace
     /**
      * Structural sanity of the producer links and annotations: every
      * producer index strictly precedes its consumer, op classes match
-     * opcodes, and latencies are nonzero. Used to vet traces loaded
-     * from disk before feeding them to the timing models.
+     * opcodes, latencies are nonzero and the branch flags agree with
+     * the opcode. Generators and tests assert it; the timing core
+     * separately rejects a producer link that does not precede its
+     * consumer.
      */
     bool wellFormed() const;
 
   private:
-    void invalidateSoA();
+    friend Trace extractRegion(const TraceSoA &soa, std::uint64_t base,
+                               std::uint64_t len);
 
-    std::vector<TraceRecord> records_;
+    void
+    setFlag(std::size_t i, std::uint8_t flag, bool on)
+    {
+        flags_[i] = static_cast<std::uint8_t>(
+            on ? flags_[i] | flag : flags_[i] & ~flag);
+    }
 
-    /** Lazily built column view; guarded by soaMutex_. */
-    mutable std::unique_ptr<TraceSoA> soa_;
-    mutable std::mutex soaMutex_;
+    /** Grow every column but pc_ to at least n rows. */
+    void sizeColumns(std::size_t n);
+
+    // pc_ holds exactly the rows, so its size is the trace's; the
+    // other eleven columns are sized ahead (zero-filled) to at least
+    // that, which lets append() write them by index behind a single
+    // bounds check instead of eleven more push_backs. Copies and moves
+    // stay element-wise, so no two traces share a column.
+    std::vector<Addr> pc_;
+    std::vector<Addr> memAddr_;
+    std::array<std::vector<InstId>, numSrcSlots> prod_;
+    std::vector<Opcode> op_;
+    std::vector<OpClass> cls_;
+    std::vector<std::uint8_t> execLat_;
+    std::vector<std::uint8_t> flags_;
+    std::vector<RegIndex> dest_;
+    std::vector<RegIndex> src1_;
+    std::vector<RegIndex> src2_;
+    /** Valid (non-sentinel) producer links over all slots. */
+    std::uint64_t producerLinks_ = 0;
 };
 
 /**

@@ -1,16 +1,16 @@
 /**
  * @file
- * Structure-of-arrays view of an annotated trace.
+ * Read-only column view of an annotated trace.
  *
  * The timing core walks a handful of per-instruction fields (op class,
- * latency, producers, branch flags, pc) millions of times per run; in
- * the 64-byte AoS TraceRecord those fields share cache lines with cold
- * annotation state. TraceSoA splits them into dense per-field columns
- * backed by ONE arena allocation, so each hot loop streams exactly the
- * bytes it needs. The AoS Trace stays the build/annotation interchange
- * format; the SoA is a frozen snapshot derived from it (see
- * Trace::soa()) and must never outlive a subsequent mutation of its
- * source trace.
+ * latency, producers, branch flags, pc) millions of times per run; as
+ * dense per-field columns each hot loop streams exactly the bytes it
+ * needs, where a 56-byte TraceRecord would drag cold fields through
+ * the cache with them. A TraceSoA points at columns it does not own:
+ * either a Trace's (Trace::soa(), valid until that trace grows, is
+ * cleared or is destroyed) or an mmap-ed trace store's (kept alive by
+ * the view's keepalive). Copying a view copies the pointers, never the
+ * columns.
  */
 
 #ifndef CSIM_TRACE_TRACE_SOA_HH
@@ -20,7 +20,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "isa/opcode.hh"
 #include "trace/trace.hh"
@@ -30,23 +32,8 @@ namespace csim {
 class TraceSoA
 {
   public:
-    /** Packed per-instruction boolean annotations (flags() column). */
-    enum Flag : std::uint8_t
-    {
-        flagIsBranch = 1u << 0,
-        flagIsCondBranch = 1u << 1,
-        flagTaken = 1u << 2,
-        flagMispredicted = 1u << 3,
-        flagL1Miss = 1u << 4,
-        /** writesDest(op) && dest != zeroReg, precomputed. */
-        flagHasDest = 1u << 5,
-    };
-
-    /**
-     * Externally owned columns (the trace-store mmap path). Pointers
-     * must stay valid for the keepalive's lifetime; TraceSoA never
-     * writes through them after construction.
-     */
+    /** The twelve columns a view reads, plus their producer-link
+     *  total. */
     struct Columns
     {
         std::size_t size = 0;
@@ -67,108 +54,115 @@ class TraceSoA
     /** Empty view (no columns). */
     TraceSoA() = default;
 
-    /** Build the columns from an AoS trace (one arena allocation). */
-    explicit TraceSoA(const Trace &trace);
-
     /**
-     * Adopt externally owned columns (e.g. an mmap-ed trace store).
-     * `keepalive` is retained for the lifetime of this view and keeps
-     * the backing storage (mapping or decode arena) alive; arenaBytes()
-     * reports the columns' aggregate byte size either way.
+     * View columns owned elsewhere. `keepalive`, when given, is
+     * retained for the view's lifetime and keeps the backing storage
+     * (e.g. a store mapping) alive.
      */
-    TraceSoA(const Columns &cols, std::shared_ptr<const void> keepalive);
+    explicit TraceSoA(const Columns &cols,
+                      std::shared_ptr<const void> keepalive = nullptr)
+        : c_(cols), keepalive_(std::move(keepalive))
+    {}
 
-    TraceSoA(TraceSoA &&) noexcept = default;
-    TraceSoA &operator=(TraceSoA &&) noexcept = default;
-
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    /** Bytes of the single backing arena (the whole SoA footprint). */
-    std::size_t arenaBytes() const { return arenaBytes_; }
+    std::size_t size() const { return c_.size; }
+    bool empty() const { return c_.size == 0; }
 
     /** Producer links with a valid (non-sentinel) producer, over all
      *  slots — the exact upper bound on waiter-list nodes a timing run
      *  can ever enqueue. */
-    std::uint64_t producerLinks() const { return producerLinks_; }
+    std::uint64_t producerLinks() const { return c_.producerLinks; }
 
     // Hot columns, one entry per dynamic instruction.
-    std::span<const Addr> pc() const { return {pc_, size_}; }
-    std::span<const Addr> memAddr() const { return {memAddr_, size_}; }
+    std::span<const Addr> pc() const { return {c_.pc, c_.size}; }
+    std::span<const Addr>
+    memAddr() const
+    {
+        return {c_.memAddr, c_.size};
+    }
     /** Producer column for one SrcSlot. */
     std::span<const InstId>
     prod(int slot) const
     {
-        return {prod_[slot], size_};
+        return {c_.prod[slot], c_.size};
     }
-    std::span<const Opcode> op() const { return {op_, size_}; }
-    std::span<const OpClass> cls() const { return {cls_, size_}; }
+    std::span<const Opcode> op() const { return {c_.op, c_.size}; }
+    std::span<const OpClass> cls() const { return {c_.cls, c_.size}; }
     std::span<const std::uint8_t>
     execLat() const
     {
-        return {execLat_, size_};
+        return {c_.execLat, c_.size};
     }
-    std::span<const std::uint8_t> flags() const { return {flags_, size_}; }
-    std::span<const RegIndex> dest() const { return {dest_, size_}; }
-    std::span<const RegIndex> src1() const { return {src1_, size_}; }
-    std::span<const RegIndex> src2() const { return {src2_, size_}; }
+    std::span<const std::uint8_t>
+    flags() const
+    {
+        return {c_.flags, c_.size};
+    }
+    std::span<const RegIndex> dest() const { return {c_.dest, c_.size}; }
+    std::span<const RegIndex> src1() const { return {c_.src1, c_.size}; }
+    std::span<const RegIndex> src2() const { return {c_.src2, c_.size}; }
 
     bool
     isBranch(std::size_t i) const
     {
-        return flags_[i] & flagIsBranch;
+        return c_.flags[i] & flagIsBranch;
     }
     bool
     isCondBranch(std::size_t i) const
     {
-        return flags_[i] & flagIsCondBranch;
+        return c_.flags[i] & flagIsCondBranch;
     }
-    bool taken(std::size_t i) const { return flags_[i] & flagTaken; }
+    bool taken(std::size_t i) const { return c_.flags[i] & flagTaken; }
     bool
     mispredicted(std::size_t i) const
     {
-        return flags_[i] & flagMispredicted;
+        return c_.flags[i] & flagMispredicted;
     }
-    bool l1Miss(std::size_t i) const { return flags_[i] & flagL1Miss; }
-    bool hasDest(std::size_t i) const { return flags_[i] & flagHasDest; }
-    bool isLoad(std::size_t i) const { return cls_[i] == OpClass::Load; }
+    bool l1Miss(std::size_t i) const { return c_.flags[i] & flagL1Miss; }
+    bool
+    hasDest(std::size_t i) const
+    {
+        return c_.flags[i] & flagHasDest;
+    }
+    bool
+    isLoad(std::size_t i) const
+    {
+        return c_.cls[i] == OpClass::Load;
+    }
     bool
     isStore(std::size_t i) const
     {
-        return cls_[i] == OpClass::Store;
+        return c_.cls[i] == OpClass::Store;
     }
 
-    /** Reassemble one AoS record (round-trip and diagnostics). */
-    TraceRecord record(std::size_t i) const;
-
-    /** Reassemble the whole AoS trace (round-trip testing). */
-    Trace toTrace() const;
-
-    /** Aggregate statistics computed straight from the columns; equal
-     *  to Trace::stats() of the source trace by construction. */
-    TraceStats stats() const;
+    /** Gather one record from the columns. */
+    TraceRecord
+    record(std::size_t i) const
+    {
+        CSIM_ASSERT(i < c_.size);
+        TraceRecord rec;
+        rec.pc = c_.pc[i];
+        rec.op = c_.op[i];
+        rec.cls = c_.cls[i];
+        rec.dest = c_.dest[i];
+        rec.src1 = c_.src1[i];
+        rec.src2 = c_.src2[i];
+        rec.memAddr = c_.memAddr[i];
+        for (int slot = 0; slot < numSrcSlots; ++slot)
+            rec.prod[slot] = c_.prod[slot][i];
+        rec.execLat = c_.execLat[i];
+        rec.isBranch = isBranch(i);
+        rec.isCondBranch = isCondBranch(i);
+        rec.taken = taken(i);
+        rec.mispredicted = mispredicted(i);
+        rec.l1Miss = l1Miss(i);
+        return rec;
+    }
 
   private:
-    std::size_t size_ = 0;
-    std::size_t arenaBytes_ = 0;
-    std::uint64_t producerLinks_ = 0;
-
-    std::unique_ptr<std::byte[]> arena_;
-    /** External backing storage (mmap keepalive); null when arena_
-     *  owns the columns. */
+    Columns c_;
+    /** Backing storage the columns point into, when the view owns a
+     *  share of it (a store mapping); null for a Trace's view. */
     std::shared_ptr<const void> keepalive_;
-
-    // Column pointers into arena_ (8-byte columns first, then bytes).
-    Addr *pc_ = nullptr;
-    Addr *memAddr_ = nullptr;
-    InstId *prod_[numSrcSlots] = {nullptr, nullptr, nullptr};
-    Opcode *op_ = nullptr;
-    OpClass *cls_ = nullptr;
-    std::uint8_t *execLat_ = nullptr;
-    std::uint8_t *flags_ = nullptr;
-    RegIndex *dest_ = nullptr;
-    RegIndex *src1_ = nullptr;
-    RegIndex *src2_ = nullptr;
 };
 
 } // namespace csim

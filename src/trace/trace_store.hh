@@ -2,29 +2,20 @@
  * @file
  * Trace store v2: a columnar, mmap-able binary trace format.
  *
- * The v1 format (trace_io) freads 48-byte packed AoS records into a
- * std::vector — loading a 10M-instruction trace costs a full pass of
- * per-record copies and ~640 MB of AoS heap before the SoA view is
- * even built. The v2 store writes the *columns* themselves: the
- * on-disk layout after the header is exactly TraceSoA's column arena
- * (five 8-byte columns, then seven byte columns, each 8-byte aligned),
- * so loading is one mmap + header validation and the mapping itself
- * backs a zero-copy TraceSoA. Pages are faulted in only as the timing
- * core touches them, which is what lets region-sampled runs over a
+ * The store writes a trace's columns themselves: the on-disk layout
+ * after the header is the twelve columns a Trace holds (five 8-byte
+ * columns, then seven byte columns, each 8-byte aligned), so loading
+ * is one mmap + header validation and the mapping itself backs a
+ * zero-copy TraceSoA. Pages are faulted in only as the timing core
+ * touches them, which is what lets region-sampled runs over a
  * multi-hundred-MB store stay within a small resident set.
  *
  * Writing is streaming-friendly: TraceStoreWriter preallocates the
  * column layout for a declared capacity and pwrite()s each appended
- * chunk's column slices at their final offsets, staged through
- * buffers it reuses from chunk to chunk, so build-side memory is
- * O(chunk). finalize() stamps the real instruction count (and the
- * producer-link total the timing core needs to size its waiter pool)
- * into the header.
- *
- * An optional per-column LEB128 varint mode (saveTraceStore with
- * compressWide) shrinks the five wide columns — pc/memAddr deltas are
- * small and most producer links are near sentinels — at the cost of a
- * decode pass into an owned arena on load (no zero-copy).
+ * chunk's column slices straight from the chunk's own columns at
+ * their final offsets, so build-side memory is O(chunk). finalize()
+ * stamps the real instruction count (and the producer-link total the
+ * timing core needs to size its waiter pool) into the header.
  *
  * All multi-byte fields are little-endian; the header carries an
  * endianness tag and loads reject foreign byte order with
@@ -36,33 +27,37 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "trace/trace_io.hh"
+#include "trace/trace.hh"
 #include "trace/trace_soa.hh"
 
 namespace csim {
 
-struct TraceStoreOptions
+/** Result of a store load attempt. */
+enum class TraceIoStatus
 {
-    /** LEB128-encode the five wide (8-byte) columns. Compressed
-     *  stores load into an owned arena instead of zero-copy mmap. */
-    bool compressWide = false;
+    Ok,
+    CannotOpen,
+    BadMagic,
+    BadVersion,
+    Truncated,
+    /** File (or host) byte order does not match little-endian. */
+    BadEndianness,
 };
+
+const char *traceIoStatusName(TraceIoStatus s);
 
 /** Metadata of a loaded store (for stats and diagnostics). */
 struct TraceStoreInfo
 {
     std::uint64_t instructions = 0;
+    /** Bytes of the file, all of which stay mmap-ed for the view's
+     *  lifetime. */
     std::uint64_t fileBytes = 0;
-    /** Bytes kept mmap-ed for the view's lifetime (0 when the load
-     *  decoded into an owned arena). */
-    std::uint64_t mappedBytes = 0;
-    bool compressed = false;
 };
 
 /**
- * Incremental v2 writer: declare a capacity, append AoS chunks, then
+ * Incremental v2 writer: declare a capacity, append chunks, then
  * finalize. Columns live at capacity-sized fixed offsets, so chunks
  * land at their final position without buffering the whole trace.
  * The file is invalid until finalize() returns true.
@@ -81,7 +76,7 @@ class TraceStoreWriter
     bool ok() const { return fd_ >= 0 && !failed_; }
 
     /**
-     * Append one chunk's records as column slices. Producer links must
+     * Append one chunk's columns as column slices. Producer links must
      * already be global (relative to the whole stored trace, not the
      * chunk). Returns false on I/O error or capacity overflow.
      */
@@ -100,39 +95,34 @@ class TraceStoreWriter
     std::uint64_t capacity_ = 0;
     std::uint64_t written_ = 0;
     std::uint64_t producerLinks_ = 0;
-    /** One appended chunk's columns, transposed for pwrite(): the
-     *  five wide columns, then the seven byte columns, each a
-     *  contiguous chunk-sized slice. Reused across append() calls. */
-    std::vector<std::uint64_t> wideStage_;
-    std::vector<std::uint8_t> narrowStage_;
 };
 
 /**
  * Write a whole in-memory trace as one v2 store (the non-streaming
- * convenience path; the only way to produce a compressed store).
- * @return true on success.
+ * convenience path). @return true on success.
  */
-bool saveTraceStore(const Trace &trace, const std::string &path,
-                    TraceStoreOptions opts = {});
+bool saveTraceStore(const Trace &trace, const std::string &path);
 
 /**
- * Load (mmap + validate) a v2 store as a column view. Uncompressed
- * stores are zero-copy: the returned TraceSoA's columns point into
- * the mapping, which stays alive as long as the view (or anything
- * holding its keepalive) does. Compressed stores decode into an owned
- * arena. @param[out] soa Replaced on success; untouched otherwise.
+ * Load (mmap + validate) a v2 store as a zero-copy column view: the
+ * returned TraceSoA's columns point into the mapping, which stays
+ * alive as long as the view (or anything holding its keepalive) does.
+ * The header and column extents are validated; producer links are
+ * not (the timing core rejects a link that does not precede its
+ * consumer). @param[out] soa Replaced on success; untouched otherwise.
  */
 TraceIoStatus loadTraceStore(TraceSoA &soa, const std::string &path,
                              TraceStoreInfo *info = nullptr);
 
 /**
- * Materialize rows [base, base+len) of a column view as a standalone
- * AoS trace, remapping producer links into region-local indices
- * (links reaching before the region become invalidInstId — the
- * operand was ready at dispatch, exactly the semantics of a link
- * reaching before a trace window). The result is wellFormed() and
- * feeds TimingSim like any built trace; only the touched rows' pages
- * of an mmap-backed view are faulted in.
+ * Copy rows [base, base+len) of a column view into a standalone
+ * trace, column range by column range, remapping producer links into
+ * region-local indices (links reaching before the region become
+ * invalidInstId — the operand was ready at dispatch, exactly the
+ * semantics of a link reaching before a trace window). A region of a
+ * well-formed trace is wellFormed() and feeds TimingSim like any built
+ * trace; only the touched rows' pages of an mmap-backed view are
+ * faulted in.
  */
 Trace extractRegion(const TraceSoA &soa, std::uint64_t base,
                     std::uint64_t len);

@@ -146,7 +146,7 @@ mergeByCycle(const std::vector<Enter> &enters,
 PipelineChecker::PipelineChecker(const MachineConfig &config,
                                  const Trace &trace,
                                  PipelineCheckerOptions options)
-    : config_(config), trace_(trace), options_(options)
+    : config_(config), trace_(trace.soa()), options_(options)
 {
     clusters_.resize(config_.numClusters);
 }
@@ -261,10 +261,9 @@ PipelineChecker::onSteer(const CoreView &view, InstId id)
 void
 PipelineChecker::checkOperands(const CoreView &view, InstId id)
 {
-    const TraceRecord &rec = trace_[id];
     const InstTiming &t = view.timingOf(id);
     for (int slot = 0; slot < numSrcSlots; ++slot) {
-        const InstId p = rec.prod[slot];
+        const InstId p = trace_.prod(slot)[id];
         if (p == invalidInstId)
             continue;
         const InstTiming &pt = view.timingOf(p);
@@ -295,7 +294,7 @@ PipelineChecker::checkOperands(const CoreView &view, InstId id)
 void
 PipelineChecker::onIssue(const CoreView &view, InstId id)
 {
-    const TraceRecord &rec = trace_[id];
+    const unsigned exec_lat = trace_.execLat()[id];
     const InstTiming &t = view.timingOf(id);
 
     if (t.issue != view.now())
@@ -311,11 +310,11 @@ PipelineChecker::onIssue(const CoreView &view, InstId id)
         violation(Invariant::Monotone,
                   instPrefix(id) + "ready " + cyc(t.ready) +
                   " precedes dispatch " + cyc(t.dispatch) + " + 1");
-    if (t.complete != t.issue + rec.execLat)
+    if (t.complete != t.issue + exec_lat)
         violation(Invariant::Monotone,
                   instPrefix(id) + "complete " + cyc(t.complete) +
                   " != issue " + cyc(t.issue) + " + latency " +
-                  std::to_string(rec.execLat));
+                  std::to_string(exec_lat));
 
     checkOperands(view, id);
 
@@ -330,9 +329,10 @@ PipelineChecker::onIssue(const CoreView &view, InstId id)
                   " issued more instructions than were steered in");
 
     ++cs.total;
-    if (isIntClass(rec.cls))
+    const OpClass cls = trace_.cls()[id];
+    if (isIntClass(cls))
         ++cs.intU;
-    else if (isFpClass(rec.cls))
+    else if (isFpClass(cls))
         ++cs.fpU;
     else
         ++cs.memU;
@@ -448,7 +448,8 @@ auditTiming(const Trace &trace, const std::vector<InstTiming> &timing,
             const MachineConfig &config)
 {
     VerifyReport report;
-    const std::size_t n = trace.size();
+    const TraceSoA view = trace.soa();
+    const std::size_t n = view.size();
     if (timing.size() != n) {
         report.record(Invariant::Order,
                       "timing has " + std::to_string(timing.size()) +
@@ -470,7 +471,6 @@ auditTiming(const Trace &trace, const std::vector<InstTiming> &timing,
     Cycle prev_dispatch = 0;
     Cycle prev_commit = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecord &rec = trace[i];
         const InstTiming &t = timing[i];
 
         if (t.fetch == invalidCycle || t.dispatch == invalidCycle ||
@@ -507,11 +507,12 @@ auditTiming(const Trace &trace, const std::vector<InstTiming> &timing,
             report.record(Invariant::Monotone,
                           instPrefix(i) + "issue " + cyc(t.issue) +
                           " precedes ready " + cyc(t.ready));
-        if (t.complete != t.issue + rec.execLat)
+        const unsigned exec_lat = view.execLat()[i];
+        if (t.complete != t.issue + exec_lat)
             report.record(Invariant::Monotone,
                           instPrefix(i) + "complete " + cyc(t.complete) +
                           " != issue " + cyc(t.issue) + " + latency " +
-                          std::to_string(rec.execLat));
+                          std::to_string(exec_lat));
         if (t.commit <= t.complete)
             report.record(Invariant::Monotone,
                           instPrefix(i) + "commit " + cyc(t.commit) +
@@ -534,10 +535,10 @@ auditTiming(const Trace &trace, const std::vector<InstTiming> &timing,
         dispatches.push_back(t.dispatch);
         commits.push_back(t.commit);
         enters[t.cluster].push_back(t.dispatch);
-        issues[t.cluster].push_back({t.issue, portOf(rec.cls)});
+        issues[t.cluster].push_back({t.issue, portOf(view.cls()[i])});
 
         for (int slot = 0; slot < numSrcSlots; ++slot) {
-            const InstId p = rec.prod[slot];
+            const InstId p = view.prod(slot)[i];
             if (p == invalidInstId)
                 continue;
             const InstTiming &pt = timing[p];

@@ -45,6 +45,7 @@
 #include "core/timing.hh"
 #include "obs/stats_registry.hh"
 #include "trace/trace.hh"
+#include "trace/trace_soa.hh"
 
 namespace csim {
 
@@ -155,7 +156,8 @@ class PipelineChecker : public SimObserver
     };
 
     const MachineConfig config_;
-    const Trace &trace_;
+    /** The trace's column view (the trace must outlive the checker). */
+    const TraceSoA trace_;
     PipelineCheckerOptions options_;
 
     VerifyReport report_;

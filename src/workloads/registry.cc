@@ -265,10 +265,18 @@ buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,
 
     // Reserved on the calling thread before the stages start: malloc
     // serves each thread from its own arena, and memory a stage thread
-    // allocated would stay in that arena after it is freed.
-    std::array<Trace, ringDepth> ring;
-    for (Trace &chunk : ring)
-        chunk.reserve(std::min(chunkInstructions, cfg.targetInstructions));
+    // allocated would stay in that arena after it is freed. Each slot
+    // gets cache lines of its own: a stage updates its chunk's column
+    // bookkeeping on every instruction, and slots sharing a line would
+    // bounce it between the stage threads.
+    struct alignas(64) RingSlot
+    {
+        Trace chunk;
+    };
+    std::array<RingSlot, ringDepth> ring;
+    for (RingSlot &r : ring)
+        r.chunk.reserve(
+            std::min(chunkInstructions, cfg.targetInstructions));
     SlotQueue empty, emulated, annotated;
     for (std::size_t slot = 0; slot < ringDepth; ++slot)
         empty.push(slot);
@@ -283,7 +291,7 @@ buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,
                empty.pop(slot)) {
             const std::uint64_t want = std::min(
                 chunkInstructions, cfg.targetInstructions - emitted);
-            Trace &chunk = ring[slot];
+            Trace &chunk = ring[slot].chunk;
             chunk.clear();
             if (emu.runChunk(chunk, want) == 0)
                 break;
@@ -296,7 +304,7 @@ buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,
         InstId base = 0;
         std::size_t slot = 0;
         while (emulated.pop(slot)) {
-            Trace &chunk = ring[slot];
+            Trace &chunk = ring[slot].chunk;
             linker.link(chunk, base);
             annotateBranches(chunk, pred);
             annotateMemory(chunk, l1, mem);
@@ -308,8 +316,8 @@ buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,
 
     TraceStoreBuildResult res;
     std::size_t slot = 0;
-    while (annotated.pop(slot) && writer.append(ring[slot])) {
-        res.instructions += ring[slot].size();
+    while (annotated.pop(slot) && writer.append(ring[slot].chunk)) {
+        res.instructions += ring[slot].chunk.size();
         empty.push(slot);
     }
     stages.join();

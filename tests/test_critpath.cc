@@ -143,7 +143,7 @@ TEST(CritPath, MispredictsAttributedToBranches)
     Trace t = prepare(p);
     for (std::size_t i = 0; i < t.size(); ++i)
         if (t[i].isCondBranch)
-            t[i].mispredicted = true;
+            t.setMispredicted(i, true);
 
     MachineConfig mc = MachineConfig::monolithic();
     SimResult res = run(t, mc);

@@ -55,8 +55,8 @@ TEST(Regions, SplitAtMispredictsAndCap)
     // Force a mispredict at instruction 22 (a bne: the trace is lui
     // followed by addi/bne pairs).
     for (std::size_t i = 0; i < t.size(); ++i)
-        t[i].mispredicted = false;
-    t[22].mispredicted = true;
+        t.setMispredicted(i, false);
+    t.setMispredicted(22, true);
     ASSERT_TRUE(t[22].isCondBranch);
 
     std::vector<Region> regions = splitRegions(t, 64);
@@ -199,7 +199,7 @@ TEST(ListSched, MispredictRedirectSerializesRegions)
     // redirect.
     for (std::size_t i = 0; i < t.size(); ++i)
         if (t[i].isCondBranch)
-            t[i].mispredicted = true;
+            t.setMispredicted(i, true);
     SimResult ref = refRun(t);
 
     ListSchedResult res = listSchedule(

@@ -55,16 +55,12 @@ class MockView : public CoreView
     {
         return timing_.at(id).cluster;
     }
-    const TraceRecord &
-    record(InstId id) const override
-    {
-        return records_.at(id);
-    }
     const InstTiming &
     timingOf(InstId id) const override
     {
         return timing_.at(id);
     }
+    Addr pcOf(InstId id) const override { return records_.at(id).pc; }
 
     /** Add an in-flight (dispatched, un-issued) producer. */
     InstId

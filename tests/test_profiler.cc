@@ -212,7 +212,7 @@ TEST(IntervalProfiler, RegionSampledProfileMergesPartialTails)
     // full records from longer regions. Component sums must survive
     // the merge and total cycles must cover every region's run.
     const Trace trace = buildSmallTrace("gzip", 3, 7919);
-    const TraceSoA soa(trace);
+    const TraceSoA soa = trace.soa();
     ExperimentConfig cfg = profiledConfig(499);
     cfg.instructions = trace.size();
     cfg.seeds = {3};

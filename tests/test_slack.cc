@@ -89,7 +89,7 @@ TEST(Slack, MispredictedBranchHasZeroSlack)
     Trace t = prepare(p);
     for (std::size_t i = 0; i < t.size(); ++i)
         if (t[i].isCondBranch)
-            t[i].mispredicted = true;
+            t.setMispredicted(i, true);
     SimResult res = run(t);
     SlackAnalysis sa =
         analyzeSlack(t, res, MachineConfig::monolithic());

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "harness/json_report.hh"
 #include "harness/sweep.hh"
 #include "harness/trace_cache.hh"
+#include "trace/trace_soa.hh"
 
 namespace csim {
 namespace {
@@ -147,6 +149,57 @@ TEST(TraceCache, SpillsEvictionsAndRehydratesByMmap)
         ASSERT_EQ((*a2)[i].mispredicted, fresh[i].mispredicted) << i;
         ASSERT_EQ((*a2)[i].l1Miss, fresh[i].l1Miss) << i;
     }
+}
+
+TEST(TraceCache, BytesHeldIsColumnBytesOfCachedInstructions)
+{
+    // One copy per trace: 47 bytes per cached instruction, counted by
+    // the byte budget and the stats alike.
+    TraceCache cache;
+    std::uint64_t instructions = 0;
+    instructions += cache.get("gzip", smallWorkload(1))->size();
+    instructions += cache.get("mcf", smallWorkload(1, 3000))->size();
+    instructions += cache.get("eon", smallWorkload(2, 2500))->size();
+    (void)cache.get("gzip", smallWorkload(1));  // a hit adds nothing
+    EXPECT_EQ(cache.bytesHeld(), 47 * instructions);
+    const StatsSnapshot snap = cache.statsSnapshot();
+    EXPECT_EQ(snap.value("traceCache.bytesHeld"),
+              static_cast<double>(47 * instructions));
+    EXPECT_EQ(snap.value("traceCache.bytesBuilt"),
+              static_cast<double>(47 * instructions));
+}
+
+TEST(TraceCache, SpilledEntryReloadKeepsFootprintAndColumns)
+{
+    TraceCache probe;
+    const auto original = probe.get("vpr", smallWorkload(5));
+    const std::size_t one = probe.bytesHeld();
+    ASSERT_EQ(one, original->footprintBytes());
+
+    const std::string dir = ::testing::TempDir();
+    TraceCache cache(one, dir);
+    (void)cache.get("vpr", smallWorkload(5));
+    (void)cache.get("vpr", smallWorkload(6));  // spills the first
+    const auto reloaded = cache.get("vpr", smallWorkload(5));
+    ASSERT_EQ(cache.statsSnapshot().value("traceCache.mmap.loads"), 1.0);
+
+    EXPECT_EQ(reloaded->footprintBytes(), original->footprintBytes());
+    EXPECT_EQ(cache.bytesHeld(), one);
+    const TraceSoA got = reloaded->soa();
+    const TraceSoA want = original->soa();
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(got.producerLinks(), want.producerLinks());
+    EXPECT_TRUE(std::ranges::equal(got.pc(), want.pc()));
+    EXPECT_TRUE(std::ranges::equal(got.memAddr(), want.memAddr()));
+    for (int slot = 0; slot < numSrcSlots; ++slot)
+        EXPECT_TRUE(std::ranges::equal(got.prod(slot), want.prod(slot)));
+    EXPECT_TRUE(std::ranges::equal(got.op(), want.op()));
+    EXPECT_TRUE(std::ranges::equal(got.cls(), want.cls()));
+    EXPECT_TRUE(std::ranges::equal(got.execLat(), want.execLat()));
+    EXPECT_TRUE(std::ranges::equal(got.flags(), want.flags()));
+    EXPECT_TRUE(std::ranges::equal(got.dest(), want.dest()));
+    EXPECT_TRUE(std::ranges::equal(got.src1(), want.src1()));
+    EXPECT_TRUE(std::ranges::equal(got.src2(), want.src2()));
 }
 
 TEST(TraceCache, NoSpillDirMeansPlainEviction)

@@ -205,7 +205,7 @@ TEST(TimingSim, MispredictedBranchStallsFetch)
     // Force the branch to be a misprediction.
     for (std::size_t i = 0; i < t.size(); ++i)
         if (t[i].isCondBranch)
-            t[i].mispredicted = true;
+            t.setMispredicted(i, true);
     ASSERT_TRUE(t[1].mispredicted);
 
     SimResult res = runMono(t);
@@ -230,7 +230,7 @@ TEST(TimingSim, CorrectlyPredictedBranchDoesNotStall)
     p.finalize();
     Trace t = prepare(p);
     for (std::size_t i = 0; i < t.size(); ++i)
-        t[i].mispredicted = false;
+        t.setMispredicted(i, false);
 
     SimResult res = runMono(t);
     // Taken branch ends the fetch group; the target comes next cycle.

@@ -1,13 +1,14 @@
 /**
  * @file
  * Unit tests for the trace module: producer linkage (register and
- * memory dependences) and trace statistics.
+ * memory dependences), trace statistics and structural well-formedness.
  */
 
 #include <gtest/gtest.h>
 
 #include "emu/emulator.hh"
 #include "trace/trace.hh"
+#include "workloads/registry.hh"
 
 namespace csim {
 namespace {
@@ -145,6 +146,46 @@ TEST(TraceStats, EmptyTrace)
     EXPECT_EQ(s.instructions, 0u);
     EXPECT_DOUBLE_EQ(s.mispredictRate(), 0.0);
     EXPECT_DOUBLE_EQ(s.l1MissRate(), 0.0);
+}
+
+TEST(TraceWellFormed, DetectsCorruptLinks)
+{
+    WorkloadConfig cfg;
+    cfg.targetInstructions = 200;
+    cfg.seed = 1;
+    Trace t = buildAnnotatedTrace("vpr", cfg);
+    ASSERT_TRUE(t.wellFormed());
+
+    // Forward-pointing producer: malformed.
+    t.setProducers(10, {150, invalidInstId, invalidInstId});
+    EXPECT_FALSE(t.wellFormed());
+    // So is a link to the consumer itself.
+    t.setProducers(10, {10, invalidInstId, invalidInstId});
+    EXPECT_FALSE(t.wellFormed());
+}
+
+TEST(TraceWellFormed, DetectsClassMismatchAndZeroLatency)
+{
+    WorkloadConfig cfg;
+    cfg.targetInstructions = 100;
+    cfg.seed = 1;
+    const Trace t = buildAnnotatedTrace("vpr", cfg);
+
+    // No pass writes the op class, so rebuild the trace with row 5's
+    // class flipped.
+    Trace t2;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        TraceRecord rec = t[i];
+        if (i == 5)
+            rec.cls = rec.cls == OpClass::Load ? OpClass::IntAlu
+                                               : OpClass::Load;
+        t2.append(rec);
+    }
+    EXPECT_FALSE(t2.wellFormed());
+
+    Trace t3 = t;
+    t3.setExecLat(5, 0);
+    EXPECT_FALSE(t3.wellFormed());
 }
 
 } // anonymous namespace

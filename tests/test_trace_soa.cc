@@ -1,14 +1,17 @@
 /**
  * @file
- * Tests for the structure-of-arrays trace view and the event-driven
- * skip-ahead that consumes it: AoS <-> SoA round-trips over every
- * registered workload, footprint accounting, and skip-vs-dense
- * equality on synthetic sparse traces where the skip path must
- * actually engage and on every proxy with the checker, the interval
- * profiler and the adaptive manager observing.
+ * Tests for the column trace and its view, and the event-driven
+ * skip-ahead that consumes it: record <-> column round-trips over
+ * every registered workload, footprint accounting, copy independence,
+ * and skip-vs-dense equality on synthetic sparse traces where the skip
+ * path must actually engage and on every proxy with the checker, the
+ * interval profiler and the adaptive manager observing.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "trace/trace_soa.hh"
 
@@ -69,63 +72,104 @@ TEST(TraceSoA, RoundTripsEveryRegisteredWorkload)
         WorkloadConfig wcfg;
         wcfg.targetInstructions = 2000;
         wcfg.seed = 1;
-        const Trace trace = buildAnnotatedTrace(name, wcfg);
-        ASSERT_TRUE(trace.wellFormed());
+        const Trace built = buildAnnotatedTrace(name, wcfg);
+        ASSERT_TRUE(built.wellFormed());
 
-        const TraceSoA &soa = trace.soa();
-        ASSERT_EQ(soa.size(), trace.size());
-
+        // Gather every record with operator[], scatter them into a
+        // fresh trace with append(), and gather them back.
+        std::vector<TraceRecord> records;
+        Trace trace;
         std::uint64_t links = 0;
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            // Per-field columns and the reassembled record agree with
-            // the AoS source.
-            expectRecordEq(soa.record(i), trace[i], i);
-            EXPECT_EQ(soa.pc()[i], trace[i].pc);
-            EXPECT_EQ(soa.cls()[i], trace[i].cls);
-            EXPECT_EQ(soa.execLat()[i], trace[i].execLat);
-            EXPECT_EQ(soa.hasDest(i), trace[i].hasDest());
-            EXPECT_EQ(soa.isLoad(i), trace[i].isLoad());
-            EXPECT_EQ(soa.isStore(i), trace[i].isStore());
-            EXPECT_EQ(soa.isBranch(i), trace[i].isBranch);
-            EXPECT_EQ(soa.mispredicted(i), trace[i].mispredicted);
-            EXPECT_EQ(soa.l1Miss(i), trace[i].l1Miss);
-            for (int s = 0; s < numSrcSlots; ++s) {
-                EXPECT_EQ(soa.prod(s)[i], trace[i].prod[s]);
-                if (trace[i].prod[s] != invalidInstId)
-                    ++links;
-            }
+        for (std::size_t i = 0; i < built.size(); ++i) {
+            records.push_back(built[i]);
+            trace.append(records.back());
+            for (int s = 0; s < numSrcSlots; ++s)
+                links += records.back().prod[s] != invalidInstId;
         }
-        EXPECT_EQ(soa.producerLinks(), links);
+        ASSERT_EQ(trace.size(), records.size());
+        EXPECT_TRUE(trace.wellFormed());
 
-        // Whole-trace round trip preserves every record and the
-        // aggregate statistics.
-        const Trace back = soa.toTrace();
-        ASSERT_EQ(back.size(), trace.size());
-        for (std::size_t i = 0; i < trace.size(); ++i)
-            expectRecordEq(back[i], trace[i], i);
-        expectStatsEq(soa.stats(), trace.stats());
-        expectStatsEq(back.stats(), trace.stats());
+        const TraceSoA soa = trace.soa();
+        ASSERT_EQ(soa.size(), records.size());
+        EXPECT_EQ(soa.producerLinks(), links);
+        EXPECT_EQ(soa.producerLinks(), built.soa().producerLinks());
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const TraceRecord &rec = records[i];
+            expectRecordEq(trace[i], rec, i);
+            // Each column holds the record's field; the packed flags
+            // agree with the record, including the precomputed
+            // hasDest.
+            EXPECT_EQ(soa.pc()[i], rec.pc);
+            EXPECT_EQ(soa.cls()[i], rec.cls);
+            EXPECT_EQ(soa.execLat()[i], rec.execLat);
+            EXPECT_EQ(soa.hasDest(i), rec.hasDest());
+            EXPECT_EQ(soa.isLoad(i), rec.isLoad());
+            EXPECT_EQ(soa.isStore(i), rec.isStore());
+            EXPECT_EQ(soa.isBranch(i), rec.isBranch);
+            EXPECT_EQ(soa.taken(i), rec.taken);
+            EXPECT_EQ(soa.mispredicted(i), rec.mispredicted);
+            EXPECT_EQ(soa.l1Miss(i), rec.l1Miss);
+            for (int s = 0; s < numSrcSlots; ++s)
+                EXPECT_EQ(soa.prod(s)[i], rec.prod[s]);
+        }
+        EXPECT_EQ(soa.flags().size(), built.soa().flags().size());
+        EXPECT_TRUE(std::ranges::equal(soa.flags(), built.soa().flags()));
+        expectStatsEq(trace.stats(), built.stats());
     }
 }
 
-TEST(TraceSoA, FootprintCountsRecordsAndArena)
+TEST(TraceSoA, FootprintIsColumnBytesOnEveryProxy)
+{
+    // Five 8-byte columns (pc, memAddr, three producers) and seven
+    // 1-byte ones: one copy, nothing else.
+    EXPECT_EQ(Trace::bytesPerInstruction, 47u);
+    for (const std::string &name : workloadNames()) {
+        SCOPED_TRACE(name);
+        WorkloadConfig wcfg;
+        wcfg.targetInstructions = 1500;
+        wcfg.seed = 2;
+        const Trace trace = buildAnnotatedTrace(name, wcfg);
+        ASSERT_GT(trace.size(), 0u);
+        EXPECT_EQ(trace.footprintBytes(), 47 * trace.size());
+        // Taking a view costs nothing.
+        (void)trace.soa();
+        EXPECT_EQ(trace.footprintBytes(), 47 * trace.size());
+    }
+}
+
+TEST(TraceSoA, ReannotatedCopyLeavesOriginalColumnsUnchanged)
 {
     WorkloadConfig wcfg;
-    wcfg.targetInstructions = 1000;
-    wcfg.seed = 1;
-    Trace trace = buildAnnotatedTrace(workloadNames().front(), wcfg);
+    wcfg.targetInstructions = 3000;
+    wcfg.seed = 4;
+    const Trace original = buildAnnotatedTrace("mcf", wcfg);
+    const std::vector<std::uint8_t> flags(original.soa().flags().begin(),
+                                          original.soa().flags().end());
+    const std::vector<std::uint8_t> lats(original.soa().execLat().begin(),
+                                         original.soa().execLat().end());
+    const std::vector<InstId> prods(original.soa().prod(0).begin(),
+                                    original.soa().prod(0).end());
+    const std::uint64_t links = original.soa().producerLinks();
 
-    const std::size_t aos_bytes =
-        trace.size() * sizeof(TraceRecord);
-    EXPECT_EQ(trace.footprintBytes(), aos_bytes);
+    // Re-annotate a copy with a tiny predictor, an extra-slow L2 and
+    // no producer links at all: every column the passes own changes.
+    Trace copy = original;
+    annotateBranches(copy, 2);
+    MemoryModelConfig slow;
+    slow.l2Latency = 90;
+    annotateMemory(copy, slow);
+    for (std::size_t i = 0; i < copy.size(); ++i)
+        copy.setProducers(i, {invalidInstId, invalidInstId,
+                              invalidInstId});
+    EXPECT_EQ(copy.soa().producerLinks(), 0u);
+    EXPECT_FALSE(std::ranges::equal(copy.soa().execLat(), lats));
+    EXPECT_FALSE(std::ranges::equal(copy.soa().flags(), flags));
 
-    const TraceSoA &soa = trace.soa();
-    EXPECT_GT(soa.arenaBytes(), 0u);
-    EXPECT_EQ(trace.footprintBytes(), aos_bytes + soa.arenaBytes());
-
-    // Mutation drops the cached view (and its bytes) again.
-    trace[0].execLat = trace[0].execLat;
-    EXPECT_EQ(trace.footprintBytes(), aos_bytes);
+    EXPECT_TRUE(std::ranges::equal(original.soa().flags(), flags));
+    EXPECT_TRUE(std::ranges::equal(original.soa().execLat(), lats));
+    EXPECT_TRUE(std::ranges::equal(original.soa().prod(0), prods));
+    EXPECT_EQ(original.soa().producerLinks(), links);
+    EXPECT_NE(original.soa().pc().data(), copy.soa().pc().data());
 }
 
 /** A serial dependence chain of uniformly long-latency instructions:
@@ -145,7 +189,7 @@ sparseSerialChain(unsigned length, std::uint8_t lat)
     annotateBranches(t);
     annotateMemory(t);
     for (std::size_t i = 0; i < t.size(); ++i)
-        t[i].execLat = lat;
+        t.setExecLat(i, lat);
     return t;
 }
 

@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Validate a bench binary's --json report (schema versions 1-7).
+"""Validate a bench binary's --json report (schema version 7).
 
 Usage: check_bench_json.py [--min-stats N] [--require-host]
                            report.json [report2.json ...]
+
+The report writer emits only schema version 7, so that is the only
+version accepted; any other fails with one line. docs/SCHEMA.md keeps
+the history of the earlier versions.
 
 Schema (see src/harness/json_report.hh, docs/SCHEMA.md and README
 "Observability"):
@@ -10,42 +14,42 @@ Schema (see src/harness/json_report.hh, docs/SCHEMA.md and README
   {
     "schemaVersion": 7,
     "benchmark": "<name>",
-    "threads": <int >= 1>,          # v2+
-    "wallSeconds": <number >= 0>,   # v2+
-    "provenance": {...},            # v7+
+    "threads": <int >= 1>,
+    "wallSeconds": <number >= 0>,
+    "provenance": {...},
     "grids":   [{"title", "columns", "rows", "averages"}, ...],
     "scalars": {"<name>": <number>, ...},
     "runs":    [{"label": str, "stats": {name: num | distribution},
-                 "phases": [...],                # v5+, phased runs
-                 "intervals": {...},             # v3+, profiled runs
-                 "adaptive": {...},              # v6+, adaptive runs
-                 "host": {...}}],                # v4+, measured runs
-    "host":    {...}                             # v4+, optional
+                 "phases": [...],                # phased runs
+                 "intervals": {...},             # profiled runs
+                 "adaptive": {...},              # adaptive runs
+                 "host": {...}}],                # measured runs
+    "host":    {...}                             # optional
   }
 
-The v7 "provenance" block is {"gitSha": str, "buildType": str,
+The "provenance" block is {"gitSha": str, "buildType": str,
 "buildFlags": str, "hostProf": bool, "cmdline": str,
 "env": {"CSIM_*": str}, "traceHashes": {"<cacheKey>": "<16 hex>"}}.
 Only "cmdline" and "env" describe the invocation itself (and so vary
 between otherwise-identical runs); the rest — including the trace
 content hashes — belongs to the report's deterministic region.
 
-A run's "adaptive" object (v6, present on runs steered by the
+A run's "adaptive" object (present on runs steered by the
 closed-loop adaptive manager) is {"runs": uint >= 1, "intervals",
 "transitions" <= intervals, "reverts" <= transitions,
 "phases": {"smooth", "memory", "steer", "imbalance", "contention"}
 (summing to intervals), "finalKnobs": {"stallThreshold" in [0,1],
 "locLowCutoff" >= 0, "pressure" in (0,1]}}.
 
-A run's "phases" list (v5, present on runs with warmup/measure phases
+A run's "phases" list (present on runs with warmup/measure phases
 or region sampling) holds {"name": str, "isWarmup": bool,
 "instructions": uint, "cycles": uint, "cpi": number} records; warmup
-entries are excluded from the run's top-level totals. The v5 top-level
+entries are excluded from the run's top-level totals. The top-level
 host block also carries "measuredInstructions" — the instruction count
 its "hostMips" divides, pruned of warmup and trace-build subtrees.
 
 A distribution is {"lo": num, "hi": num, "total": num, "buckets": [ints]}.
-A run's "intervals" object (v3+) is
+A run's "intervals" object is
 {"intervalCycles": int, "clusterIssueWidth": int,
  "windowPerCluster": int, "mergeCount": int,
  "series": [record, ...]} where each record
@@ -53,7 +57,7 @@ carries "start", "cycles", a "cpiStack" object whose component values
 must sum exactly to "cycles", event counters and a "clusters" lane
 array.
 
-The v4 host blocks carry the simulator's own cost. A run's "host" is
+The host blocks carry the simulator's own cost. A run's "host" is
 {"wallSeconds" > 0, "instructions": uint, "hostMips" > 0 when
 instructions were counted, "peakRssBytes": uint}. The top-level
 "host" adds memory samples and a "timerTree" of
@@ -268,15 +272,14 @@ def check_timer_node(where, node):
             f"{where}: children are not sorted by name")
 
 
-def check_host(where, h, version):
+def check_host(where, h):
     require(isinstance(h, dict), f"{where}: not an object")
     check_number(h.get("wallSeconds"), f"{where}.wallSeconds")
     require(h["wallSeconds"] > 0, f"{where}.wallSeconds must be > 0")
     check_number(h.get("hostMips"), f"{where}.hostMips")
     require(h["hostMips"] > 0, f"{where}.hostMips must be > 0")
-    if version >= 5:
-        check_uint(h.get("measuredInstructions"),
-                   f"{where}.measuredInstructions")
+    check_uint(h.get("measuredInstructions"),
+               f"{where}.measuredInstructions")
     for k in ("peakRssBytes", "currentRssBytes", "heapBytes",
               "heapHighWaterBytes"):
         check_uint(h.get(k), f"{where}.{k}")
@@ -353,18 +356,18 @@ def check_report(path, min_stats, require_host=False):
 
     require(isinstance(d, dict), "top level is not an object")
     version = d.get("schemaVersion")
-    require(version in (1, 2, 3, 4, 5, 6, 7),
-            f"schemaVersion {version!r} not in (1, 2, 3, 4, 5, 6, 7)")
+    require(version == 7 and not isinstance(version, bool),
+            f"schemaVersion {version!r} is not 7, the only version "
+            f"the report writer emits")
     require(isinstance(d.get("benchmark"), str) and d["benchmark"],
             "benchmark must be a non-empty string")
-    if version >= 2:
-        threads = d.get("threads")
-        require(isinstance(threads, int) and not isinstance(threads, bool)
-                and threads >= 1,
-                f"threads {threads!r} must be an integer >= 1")
-        wall = d.get("wallSeconds")
-        check_number(wall, "wallSeconds")
-        require(wall >= 0, f"wallSeconds {wall!r} must be >= 0")
+    threads = d.get("threads")
+    require(isinstance(threads, int) and not isinstance(threads, bool)
+            and threads >= 1,
+            f"threads {threads!r} must be an integer >= 1")
+    wall = d.get("wallSeconds")
+    check_number(wall, "wallSeconds")
+    require(wall >= 0, f"wallSeconds {wall!r} must be >= 0")
     require(isinstance(d.get("grids"), list), "grids is not a list")
     require(isinstance(d.get("scalars"), dict),
             "scalars is not an object")
@@ -385,32 +388,20 @@ def check_report(path, min_stats, require_host=False):
         for name, v in run["stats"].items():
             check_stat(name, v)
         if "phases" in run:
-            require(version >= 5,
-                    f"runs[{i}]: 'phases' requires schemaVersion 5")
             check_phases(f"runs[{i}].phases", run["phases"])
         if "intervals" in run:
-            require(version >= 3,
-                    f"runs[{i}]: 'intervals' requires schemaVersion 3")
             check_intervals(f"runs[{i}].intervals", run["intervals"])
         if "adaptive" in run:
-            require(version >= 6,
-                    f"runs[{i}]: 'adaptive' requires schemaVersion 6")
             check_adaptive(f"runs[{i}].adaptive", run["adaptive"])
         if "host" in run:
-            require(version >= 4,
-                    f"runs[{i}]: 'host' requires schemaVersion 4")
             check_run_host(f"runs[{i}].host", run["host"])
 
-    if "provenance" in d:
-        require(version >= 7, "'provenance' requires schemaVersion 7")
-        check_provenance("provenance", d["provenance"])
-    elif version >= 7:
-        raise SchemaError("schemaVersion 7 requires a 'provenance' "
-                          "block")
+    require("provenance" in d, "schemaVersion 7 requires a "
+            "'provenance' block")
+    check_provenance("provenance", d["provenance"])
 
     if "host" in d:
-        require(version >= 4, "'host' requires schemaVersion 4")
-        check_host("host", d["host"], version)
+        check_host("host", d["host"])
     if require_host:
         require("host" in d, "--require-host: no top-level host block")
         require(any("host" in run for run in d["runs"]),
@@ -424,7 +415,7 @@ def main():
     ap.add_argument("--min-stats", type=int, default=10,
                     help="minimum stats required per run entry")
     ap.add_argument("--require-host", action="store_true",
-                    help="fail unless host blocks are present (v4)")
+                    help="fail unless host blocks are present")
     ap.add_argument("reports", nargs="+")
     args = ap.parse_args()
 

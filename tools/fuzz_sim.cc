@@ -253,9 +253,8 @@ checkSteppingDifferential(const Trace &trace,
 /**
  * Round-trip the case's trace through the columnar store (save →
  * mmap-load → simulate) and check the loaded copy reproduces the
- * original run byte for byte, both through the rebuilt-AoS pipeline
- * and straight off the mmap-ed column view. Compression alternates by
- * seed so both file layouts stay covered.
+ * original run byte for byte, both through a trace copied back out of
+ * the store and straight off the mmap-ed column view.
  */
 std::string
 checkStoreRoundTrip(const Trace &trace, const MachineConfig &config,
@@ -265,23 +264,18 @@ checkStoreRoundTrip(const Trace &trace, const MachineConfig &config,
     const std::string path = "/tmp/csim_fuzz_" +
         std::to_string(::getpid()) + "_" + std::to_string(seed) +
         ".trc2";
-    TraceStoreOptions sopt;
-    sopt.compressWide = (seed & 1) != 0;
-    if (!saveTraceStore(trace, path, sopt))
+    if (!saveTraceStore(trace, path))
         return "store: save failed";
     TraceSoA soa;
-    TraceStoreInfo info;
-    const TraceIoStatus st = loadTraceStore(soa, path, &info);
+    const TraceIoStatus st = loadTraceStore(soa, path);
     std::remove(path.c_str());
     if (st != TraceIoStatus::Ok)
         return std::string("store: load failed: ") +
             traceIoStatusName(st);
     if (soa.size() != trace.size())
         return "store: instruction count changed in round trip";
-    if (info.compressed != sopt.compressWide)
-        return "store: compression flag not preserved";
 
-    // Rebuilt-AoS path: identical inputs through the identical
+    // Copied-back path: identical inputs through the identical
     // harness must give identical outputs.
     const Trace rebuilt = extractRegion(soa, 0, soa.size());
     const PolicyRun replay = runPolicy(rebuilt, config, kind, cfg);
@@ -297,20 +291,19 @@ checkStoreRoundTrip(const Trace &trace, const MachineConfig &config,
         return diff;
 
     // Column-view path: the sim reading records straight out of the
-    // mapping (no AoS trace behind it) must agree with the same bare
-    // run on the original trace.
+    // mapping must agree with the same bare run on the original trace.
     {
-        ModNSteering steer_aos, steer_soa;
-        AgeScheduling sched_aos, sched_soa;
-        const SimResult aos =
-            TimingSim(config, trace, steer_aos, sched_aos).run();
+        ModNSteering steer_trace, steer_map;
+        AgeScheduling sched_trace, sched_map;
+        const SimResult orig =
+            TimingSim(config, trace, steer_trace, sched_trace).run();
         const SimResult cols =
-            TimingSim(config, soa, steer_soa, sched_soa).run();
-        if (aos.cycles != cols.cycles)
+            TimingSim(config, soa, steer_map, sched_map).run();
+        if (orig.cycles != cols.cycles)
             return "store: column-view cycles " +
                 std::to_string(cols.cycles) + " != " +
-                std::to_string(aos.cycles);
-        diff = compareStats("store-column-view", cols.stats, aos.stats);
+                std::to_string(orig.cycles);
+        diff = compareStats("store-column-view", cols.stats, orig.stats);
         if (!diff.empty())
             return diff;
     }

@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Regression tests for check_bench_json.py (run by ctest).
+
+The validator accepts only schema version 7, the one the report writer
+emits: a minimal v7 report and the committed BENCH_throughput.json
+(under --require-host, as CI checks it) pass; an older version or a v7
+report without its provenance block fails with a one-line diagnostic,
+never a traceback. Everything here drives the script as a subprocess,
+exactly as CI does.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+CHECKER = os.path.join(TOOLS, "check_bench_json.py")
+BASELINE = os.path.join(os.path.dirname(TOOLS), "BENCH_throughput.json")
+
+
+def minimal_report(version=7, provenance=True):
+    """The smallest report the v7 schema allows."""
+    d = {"schemaVersion": version, "benchmark": "bench_minimal",
+         "threads": 1, "wallSeconds": 0.5, "grids": [], "scalars": {},
+         "runs": [{"label": "gzip/1x8w/seed1",
+                   "stats": {"sim.cycles": 1200, "sim.instructions": 1000}}]}
+    if provenance:
+        d["provenance"] = {
+            "gitSha": "0123456789ab", "buildType": "RelWithDebInfo",
+            "buildFlags": "-O2 -g", "hostProf": True,
+            "cmdline": "bench_minimal --json r.json", "env": {},
+            "traceHashes": {"gzip|1|1000": "0123456789abcdef"}}
+    return d
+
+
+class CheckBenchJsonTest(unittest.TestCase):
+    def check(self, path, *extra):
+        return subprocess.run(
+            [sys.executable, CHECKER, "--min-stats", "0", *extra, path],
+            capture_output=True, text=True)
+
+    def check_report(self, report, *extra):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "report.json")
+            with open(path, "w") as f:
+                json.dump(report, f)
+            return self.check(path, *extra)
+
+    def assertCleanFailure(self, proc, needle):
+        """Non-zero exit, one diagnostic line naming the cause."""
+        out = proc.stdout + proc.stderr
+        self.assertNotEqual(proc.returncode, 0, out)
+        self.assertIn(needle, out)
+        self.assertNotIn("Traceback", out)
+        self.assertEqual(len(out.strip().splitlines()), 1, out)
+
+    def test_minimal_v7_report_passes(self):
+        proc = self.check_report(minimal_report())
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("OK", proc.stdout)
+
+    def test_committed_baseline_passes_require_host(self):
+        proc = self.check(BASELINE, "--require-host")
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_v6_report_fails(self):
+        proc = self.check_report(minimal_report(version=6,
+                                                provenance=False))
+        self.assertCleanFailure(proc, "schemaVersion 6 is not 7")
+
+    def test_v7_report_without_provenance_fails(self):
+        proc = self.check_report(minimal_report(provenance=False))
+        self.assertCleanFailure(proc, "'provenance'")
+
+
+if __name__ == "__main__":
+    unittest.main()
