@@ -66,21 +66,24 @@ TimingSim::TimingSim(const MachineConfig &config, const TraceSoA &soa,
     soaLat_ = soa_.execLat().data();
     soaFlags_ = soa_.flags().data();
 
-    // Carve every per-instruction side table out of one arena, wide
-    // columns first so each stays naturally aligned.
+    // Carve the in-flight rings and the waiter pool out of one arena,
+    // wide columns first so each stays naturally aligned. Sizing by
+    // min(robEntries, n) keeps a huge-ROB machine on a short trace
+    // from allocating past the trace.
     const std::size_t n = soa_.size();
-    const std::uint64_t links = soa_.producerLinks();
-    CSIM_ASSERT(links < noWaiter);
-    waiterPoolCap_ = static_cast<std::uint32_t>(links);
+    const std::size_t r = std::bit_ceil(
+        std::min<std::size_t>(config_.robEntries, n));
+    const std::size_t pool = r * numSrcSlots;
+    CSIM_ASSERT(pool < noWaiter);
+    ringMask_ = r - 1;
 
     const std::size_t arena_bytes =
-        n * sizeof(std::uint64_t) +          // prioKey
-        n * sizeof(Cycle) +                  // partialReady
-        links * sizeof(std::uint64_t) +      // waiter pool: id|slot
-        2 * n * sizeof(std::uint32_t) +      // waiter head/tail
-        links * sizeof(std::uint32_t) +      // waiter pool: next
-        n * sizeof(std::uint16_t) +          // deliveredMask
-        n * sizeof(std::uint8_t);            // pendingOps
+        r * sizeof(std::uint64_t) +          // prioKey
+        r * sizeof(Cycle) +                  // partialReady
+        pool * sizeof(std::uint64_t) +       // waiter pool: id|slot
+        2 * r * sizeof(std::uint32_t) +      // waiter head/tail
+        pool * sizeof(std::uint32_t) +       // waiter pool: next
+        r * sizeof(std::uint8_t);            // pendingOps
     sideArena_.reset(new std::byte[arena_bytes]);
     std::byte *cursor = sideArena_.get();
     auto take = [&](std::size_t bytes) {
@@ -94,27 +97,30 @@ TimingSim::TimingSim(const MachineConfig &config, const TraceSoA &soa,
     timingStore_.resize(n);
     timing_ = timingStore_.data();
     prioKey_ = reinterpret_cast<std::uint64_t *>(
-        take(n * sizeof(std::uint64_t)));
-    partialReady_ = reinterpret_cast<Cycle *>(take(n * sizeof(Cycle)));
+        take(r * sizeof(std::uint64_t)));
+    partialReady_ = reinterpret_cast<Cycle *>(take(r * sizeof(Cycle)));
     waiterIdSlot_ = reinterpret_cast<std::uint64_t *>(
-        take(links * sizeof(std::uint64_t)));
+        take(pool * sizeof(std::uint64_t)));
     waiterHead_ = reinterpret_cast<std::uint32_t *>(
-        take(n * sizeof(std::uint32_t)));
+        take(r * sizeof(std::uint32_t)));
     waiterTail_ = reinterpret_cast<std::uint32_t *>(
-        take(n * sizeof(std::uint32_t)));
+        take(r * sizeof(std::uint32_t)));
     waiterNext_ = reinterpret_cast<std::uint32_t *>(
-        take(links * sizeof(std::uint32_t)));
-    deliveredMask_ = reinterpret_cast<std::uint16_t *>(
-        take(n * sizeof(std::uint16_t)));
-    pendingOps_ = reinterpret_cast<std::uint8_t *>(take(n));
+        take(pool * sizeof(std::uint32_t)));
+    pendingOps_ = reinterpret_cast<std::uint8_t *>(take(r));
     CSIM_ASSERT(cursor == sideArena_.get() + arena_bytes);
 
-    std::memset(prioKey_, 0, n * sizeof(std::uint64_t));
-    std::memset(partialReady_, 0, n * sizeof(Cycle));
-    std::memset(waiterHead_, 0xFF, n * sizeof(std::uint32_t));
-    std::memset(waiterTail_, 0xFF, n * sizeof(std::uint32_t));
-    std::memset(deliveredMask_, 0, n * sizeof(std::uint16_t));
-    std::memset(pendingOps_, 0, n);
+    std::memset(prioKey_, 0, r * sizeof(std::uint64_t));
+    std::memset(partialReady_, 0, r * sizeof(Cycle));
+    std::memset(waiterHead_, 0xFF, r * sizeof(std::uint32_t));
+    std::memset(waiterTail_, 0xFF, r * sizeof(std::uint32_t));
+    std::memset(pendingOps_, 0, r);
+    // Every node starts on the free list, in index order.
+    for (std::size_t node = 0; node + 1 < pool; ++node)
+        waiterNext_[node] = static_cast<std::uint32_t>(node + 1);
+    waiterNext_[pool - 1] = noWaiter;
+    waiterFree_ = 0;
+    deliveredMask_.assign(n, 0);
 
     if (options_.collectIlp) {
         ilpCycles_.resize(options_.ilpMaxAvailable + 1, 0);
@@ -634,7 +640,7 @@ TimingSim::stuckPanic()
                  (unsigned long long)h.issue,
                  (unsigned long long)h.complete,
                  (unsigned)h.cluster,
-                 (unsigned)pendingOps_[commitIdx_]);
+                 (unsigned)pendingOps_[ring(commitIdx_)]);
     for (std::size_t c = 0; c < clusters_.size(); ++c) {
         std::fprintf(stderr, "cluster %zu: occ=%u readyNow=%zu\n",
                      c, clusters_[c].occupancy(),
@@ -686,7 +692,7 @@ TimingSim::doIssue()
         if (ready.size() > 1)
             std::sort(ready.begin(), ready.end(),
                       [this](InstId a, InstId b) {
-                          return prioKey_[a] < prioKey_[b];
+                          return prioKey_[ring(a)] < prioKey_[ring(b)];
                       });
 
         Cluster::PortUse ports;
@@ -723,8 +729,8 @@ TimingSim::doIssue()
             // age bypasses are ordinary port contention. leftover[0]
             // holds the highest-priority denial of this cluster-cycle.
             if (!leftover.empty() &&
-                prioKeyClass(prioKey_[leftover.front()]) <
-                    prioKeyClass(prioKey_[id]))
+                prioKeyClass(prioKey_[ring(leftover.front())]) <
+                    prioKeyClass(prioKey_[ring(id)]))
                 ++*statPriorityInversions_;
 
             if (fetchStalled_ && id == fetchStallBranch_)
@@ -733,7 +739,8 @@ TimingSim::doIssue()
             // Wake consumers waiting on this value (FIFO per
             // producer: first delivery per remote cluster gets the
             // traffic attribution).
-            for (std::uint32_t node = waiterHead_[id];
+            const std::size_t pslot = ring(id);
+            for (std::uint32_t node = waiterHead_[pslot];
                  node != noWaiter; node = waiterNext_[node]) {
                 const std::uint64_t packed = waiterIdSlot_[node];
                 const InstId wid = packed &
@@ -750,18 +757,26 @@ TimingSim::doIssue()
                     timing_[wid].crossMask |=
                         static_cast<std::uint8_t>(1u << wslot);
                 }
-                if (avail > partialReady_[wid])
-                    partialReady_[wid] = avail;
-                CSIM_ASSERT(pendingOps_[wid] > 0);
-                if (--pendingOps_[wid] == 0) {
-                    timing_[wid].ready = partialReady_[wid];
-                    clusters_[wc].markReady(wid, partialReady_[wid]);
-                    if (partialReady_[wid] < nextPendingBound_)
-                        nextPendingBound_ = partialReady_[wid];
+                const std::size_t wring = ring(wid);
+                Cycle &partial = partialReady_[wring];
+                if (avail > partial)
+                    partial = avail;
+                CSIM_ASSERT(pendingOps_[wring] > 0);
+                if (--pendingOps_[wring] == 0) {
+                    timing_[wid].ready = partial;
+                    clusters_[wc].markReady(wid, partial);
+                    if (partial < nextPendingBound_)
+                        nextPendingBound_ = partial;
                 }
             }
-            waiterHead_[id] = noWaiter;
-            waiterTail_[id] = noWaiter;
+            // Recycle the whole list in O(1): splice it onto the free
+            // list and leave the ring slot empty for id + ring size.
+            if (waiterHead_[pslot] != noWaiter) {
+                waiterNext_[waiterTail_[pslot]] = waiterFree_;
+                waiterFree_ = waiterHead_[pslot];
+                waiterHead_[pslot] = noWaiter;
+                waiterTail_[pslot] = noWaiter;
+            }
 
             for (SimObserver *obs : observers_)
                 obs->onIssue(*this, id);
@@ -831,6 +846,9 @@ TimingSim::doSteer()
                 obs->onSteerStall(*this, SteerStallCause::RobFull);
             break;  // ROB full
         }
+        // Every id with live ring state is in [commitIdx_, id]; the
+        // ROB check above keeps that span within the ring.
+        CSIM_ASSERT(id - commitIdx_ <= ringMask_);
 
         if (freeWindowsTotal_ == 0) {
             ++*statAllWindowsFullCycles_;
@@ -875,7 +893,8 @@ TimingSim::doSteer()
             ++*clusterStats_[d.desired].windowFullDiverts;
 
         const std::uint32_t prio = scheduling_.priorityClass(rec);
-        prioKey_[id] = makePrioKey(prio, id);
+        const std::size_t islot = ring(id);
+        prioKey_[islot] = makePrioKey(prio, id);
 
         // Resolve operand readiness.
         Cycle ready = now_ + 1;  // earliest possible issue
@@ -899,23 +918,25 @@ TimingSim::doSteer()
                     ready = avail;
             } else {
                 // Producer still pending: append to its waiter list.
-                const std::uint32_t node = waiterPoolUsed_++;
-                CSIM_ASSERT(node < waiterPoolCap_);
+                const std::uint32_t node = waiterFree_;
+                CSIM_ASSERT(node != noWaiter);
+                waiterFree_ = waiterNext_[node];
                 waiterIdSlot_[node] = id |
                     (static_cast<std::uint64_t>(slot) <<
                      prioKeyIdBits);
                 waiterNext_[node] = noWaiter;
-                if (waiterTail_[p] == noWaiter)
-                    waiterHead_[p] = node;
+                const std::size_t pslot = ring(p);
+                if (waiterTail_[pslot] == noWaiter)
+                    waiterHead_[pslot] = node;
                 else
-                    waiterNext_[waiterTail_[p]] = node;
-                waiterTail_[p] = node;
+                    waiterNext_[waiterTail_[pslot]] = node;
+                waiterTail_[pslot] = node;
                 ++pending;
             }
         }
 
-        partialReady_[id] = ready;
-        pendingOps_[id] = static_cast<std::uint8_t>(pending);
+        partialReady_[islot] = ready;
+        pendingOps_[islot] = static_cast<std::uint8_t>(pending);
         if (pending == 0) {
             t.ready = ready;
             clusters_[d.cluster].markReady(id, ready);

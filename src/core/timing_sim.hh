@@ -276,16 +276,26 @@ class TimingSim : public CoreView
     Cycle nextPendingBound_ = invalidCycle;
 
     // ----------------------------------------------------------------
-    // Per-instruction side tables (indexed by trace position), carved
-    // out of ONE arena allocation: 8-byte columns first, then the
-    // narrower ones, so every column stays naturally aligned. Waiter
-    // lists (consumers blocked on a producer's value) live as per-
-    // producer linked lists threaded through a flat node pool, sized
-    // up front by the trace's producer-link count — appends never
-    // allocate, and wake order stays FIFO per producer.
+    // In-flight side state. Every id with live side state (priority
+    // key, partial ready time, pending operand count, waiter list)
+    // lies in [commitIdx_, steerIdx_], a span the steer stage caps at
+    // robEntries, so each table is a ring of
+    // bit_ceil(min(robEntries, n)) slots indexed by id & ringMask_,
+    // carved out of ONE arena allocation: 8-byte columns first, then
+    // the narrower ones, so every column stays naturally aligned.
+    // Waiter lists (consumers blocked on a producer's value) are per-
+    // producer linked lists threaded through a node pool of ring size
+    // x numSrcSlots: a steered consumer takes at most one node per
+    // source slot, and a producer's whole list returns to the free
+    // list when it issues. Appends never allocate, and wake order
+    // stays FIFO per producer.
     static constexpr std::uint32_t noWaiter = UINT32_MAX;
 
+    /** Ring slot of an in-flight instruction's side state. */
+    std::size_t ring(InstId id) const { return id & ringMask_; }
+
     std::unique_ptr<std::byte[]> sideArena_;
+    std::uint64_t ringMask_ = 0;
     /** Backing store for timing_; moved wholesale into the SimResult
      *  at the end of run() instead of being copied out. */
     std::vector<InstTiming> timingStore_;
@@ -296,12 +306,18 @@ class TimingSim : public CoreView
     std::uint64_t *waiterIdSlot_ = nullptr;
     std::uint32_t *waiterHead_ = nullptr;
     std::uint32_t *waiterTail_ = nullptr;
-    /** Pool column: next node of the same producer's list. */
+    /** Pool column: next node of the same list (a producer's, or the
+     *  free list). */
     std::uint32_t *waiterNext_ = nullptr;
-    std::uint16_t *deliveredMask_ = nullptr;
     std::uint8_t *pendingOps_ = nullptr;
-    std::uint32_t waiterPoolCap_ = 0;
-    std::uint32_t waiterPoolUsed_ = 0;
+    /** Head of the free node list. */
+    std::uint32_t waiterFree_ = noWaiter;
+    /**
+     * Per instruction, not per ring slot: a producer's value can be
+     * consumed arbitrarily long after it commits, and each remote
+     * cluster counts as a global value only on its first delivery.
+     */
+    std::vector<std::uint16_t> deliveredMask_;
 
     std::uint64_t skipSpans_ = 0;
     std::uint64_t skipCycles_ = 0;

@@ -47,17 +47,30 @@ analyzeCriticalPath(const Trace &trace,
         res.breakdown.cycles[static_cast<std::size_t>(cat)] += cycles;
     };
 
-    // Most recent mispredicted conditional branch before each
-    // instruction (region-local).
-    std::vector<std::int64_t> last_mispred(n, -1);
-    {
-        std::int64_t last = -1;
-        for (std::uint64_t i = begin; i < end; ++i) {
-            last_mispred[i - begin] = last;
-            if (view.isCondBranch(i) && view.mispredicted(i))
-                last = static_cast<std::int64_t>(i);
+    // Most recent mispredicted conditional branch before instruction
+    // j (region-local), or -1. The walk only ever moves to older
+    // instructions, so one backward cursor answers every query and
+    // scans each index at most once: O(n) time, O(1) memory. mp is
+    // the last mispredict below mp_limit (-1: none), which is also
+    // the answer for any smaller j above it; it starts above every
+    // query, forcing the first scan.
+    std::uint64_t mp_limit = end;
+    std::int64_t mp = static_cast<std::int64_t>(end);
+    auto lastMispred = [&](std::uint64_t j) -> std::int64_t {
+        CSIM_ASSERT(j <= mp_limit);
+        mp_limit = j;
+        if (mp < static_cast<std::int64_t>(j))
+            return mp;
+        mp = -1;
+        for (std::uint64_t k = j; k > begin;) {
+            --k;
+            if (view.isCondBranch(k) && view.mispredicted(k)) {
+                mp = static_cast<std::int64_t>(k);
+                break;
+            }
         }
-    }
+        return mp;
+    };
 
     const Cycle floor = (begin == 0) ? 0 : tm(begin).fetch;
     const unsigned depth = config.frontendDepth;
@@ -207,7 +220,7 @@ analyzeCriticalPath(const Trace &trace,
             std::uint64_t j = i;
             bool depth_pending = true;
             while (true) {
-                const std::int64_t b = last_mispred[j - begin];
+                const std::int64_t b = lastMispred(j);
                 const bool redirect = b >= 0 &&
                     static_cast<std::uint64_t>(b) >= begin &&
                     tm(j).fetch ==

@@ -130,8 +130,10 @@ UnifiedSteering::reset(const CoreView &view, std::size_t trace_size)
 {
     (void)view;
     pendingProducer_ = invalidInstId;
-    maxConsumerLoc_.assign(trace_size, 0);
-    followed_.assign(trace_size, false);
+    if (options_.proactiveLB) {
+        maxConsumerLoc_.assign(trace_size, 0);
+        followed_.assign(trace_size, false);
+    }
     if (lbCandidate_.empty()) {
         lbCandidate_.assign(std::size_t{1} << lbTableBits,
                             SatCounter(2, 1, 1, 0));
@@ -333,20 +335,21 @@ UnifiedSteering::notifySteered(const CoreView &view,
                                const SteerDecision &decision)
 {
     (void)view;
+    if (!options_.proactiveLB)
+        return;
     const TraceRecord &rec = *req.rec;
 
     // Track the most critical consumer seen so far for each dynamic
-    // value, and mark producers as followed on collocation.
-    if (!maxConsumerLoc_.empty() && locPred_) {
-        const std::uint8_t lvl =
-            static_cast<std::uint8_t>(locPred_->level(rec.pc));
-        for (int slot = srcSlot1; slot <= srcSlot2; ++slot) {
-            const InstId p = rec.prod[slot];
-            if (p == invalidInstId)
-                continue;
-            if (lvl > maxConsumerLoc_[p])
-                maxConsumerLoc_[p] = lvl;
-        }
+    // value, and mark producers as followed on collocation (proactive
+    // LB implies a LoC predictor; the constructor asserts it).
+    const std::uint8_t lvl =
+        static_cast<std::uint8_t>(locPred_->level(rec.pc));
+    for (int slot = srcSlot1; slot <= srcSlot2; ++slot) {
+        const InstId p = rec.prod[slot];
+        if (p == invalidInstId)
+            continue;
+        if (lvl > maxConsumerLoc_[p])
+            maxConsumerLoc_[p] = lvl;
     }
 
     if (decision.reason == SteerReason::Collocated &&
@@ -361,7 +364,7 @@ UnifiedSteering::notifyCommit(const CoreView &view, InstId id,
                               const TraceRecord &rec)
 {
     (void)view;
-    if (!options_.proactiveLB || !locPred_ || maxConsumerLoc_.empty())
+    if (!options_.proactiveLB)
         return;
 
     // When a consumer retires, compare its LoC against the most

@@ -151,6 +151,8 @@ class UnifiedSteering : public SteeringPolicy
     InstId pendingProducer_ = invalidInstId;
 
     // --- proactive load-balancing state ---
+    // The two per-instruction tables are read only by proactive
+    // load-balancing, so reset() sizes them only when it is on.
     /** Max LoC level seen among steered consumers of each dynamic
      *  value. */
     std::vector<std::uint8_t> maxConsumerLoc_;

@@ -35,7 +35,6 @@ Trace::soa() const
 {
     TraceSoA::Columns cols;
     cols.size = size();
-    cols.producerLinks = producerLinks_;
     cols.pc = pc_.data();
     cols.memAddr = memAddr_.data();
     for (int slot = 0; slot < numSrcSlots; ++slot)

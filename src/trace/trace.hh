@@ -132,10 +132,8 @@ class Trace
             sizeColumns(2 * i + 16);
         pc_.push_back(rec.pc);
         memAddr_[i] = rec.memAddr;
-        for (int slot = 0; slot < numSrcSlots; ++slot) {
+        for (int slot = 0; slot < numSrcSlots; ++slot)
             prod_[slot][i] = rec.prod[slot];
-            producerLinks_ += rec.prod[slot] != invalidInstId;
-        }
         op_[i] = rec.op;
         cls_[i] = rec.cls;
         execLat_[i] = rec.execLat;
@@ -153,12 +151,7 @@ class Trace
 
     /** Drop every instruction but keep the capacity, so a reused
      *  chunk buffer refills without reallocating. */
-    void
-    clear()
-    {
-        pc_.clear();
-        producerLinks_ = 0;
-    }
+    void clear() { pc_.clear(); }
 
     /** Make room for n instructions up front (no regrowth while they
      *  are appended). */
@@ -196,11 +189,8 @@ class Trace
     setProducers(std::size_t i,
                  const std::array<InstId, numSrcSlots> &prod)
     {
-        for (int slot = 0; slot < numSrcSlots; ++slot) {
-            producerLinks_ -= prod_[slot][i] != invalidInstId;
-            producerLinks_ += prod[slot] != invalidInstId;
+        for (int slot = 0; slot < numSrcSlots; ++slot)
             prod_[slot][i] = prod[slot];
-        }
     }
     /** Branch outcome of instruction i (the branch annotator's). */
     void
@@ -267,8 +257,6 @@ class Trace
     std::vector<RegIndex> dest_;
     std::vector<RegIndex> src1_;
     std::vector<RegIndex> src2_;
-    /** Valid (non-sentinel) producer links over all slots. */
-    std::uint64_t producerLinks_ = 0;
 };
 
 /**

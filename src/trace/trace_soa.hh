@@ -32,13 +32,10 @@ namespace csim {
 class TraceSoA
 {
   public:
-    /** The twelve columns a view reads, plus their producer-link
-     *  total. */
+    /** The twelve columns a view reads. */
     struct Columns
     {
         std::size_t size = 0;
-        /** Valid producer links over all slots (see producerLinks()). */
-        std::uint64_t producerLinks = 0;
         const Addr *pc = nullptr;
         const Addr *memAddr = nullptr;
         const InstId *prod[numSrcSlots] = {nullptr, nullptr, nullptr};
@@ -66,11 +63,6 @@ class TraceSoA
 
     std::size_t size() const { return c_.size; }
     bool empty() const { return c_.size == 0; }
-
-    /** Producer links with a valid (non-sentinel) producer, over all
-     *  slots — the exact upper bound on waiter-list nodes a timing run
-     *  can ever enqueue. */
-    std::uint64_t producerLinks() const { return c_.producerLinks; }
 
     // Hot columns, one entry per dynamic instruction.
     std::span<const Addr> pc() const { return {c_.pc, c_.size}; }

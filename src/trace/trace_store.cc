@@ -47,6 +47,9 @@ struct StoreHeader
     std::uint32_t endian;
     std::uint64_t count;
     std::uint64_t capacity;
+    /** Valid producer links over all slots. Written for format
+     *  stability; the loader ignores it, since nothing a reader sizes
+     *  may come from an unchecked file field. */
     std::uint64_t producerLinks;
     std::uint32_t flags;
     std::uint32_t columnCount;
@@ -224,7 +227,9 @@ TraceStoreWriter::append(const Trace &chunk)
             return false;
         }
     }
-    producerLinks_ += view.producerLinks();
+    for (int slot = 0; slot < numSrcSlots; ++slot)
+        for (const InstId p : view.prod(slot))
+            producerLinks_ += p != invalidInstId;
     written_ += n;
     return true;
 }
@@ -334,7 +339,6 @@ loadTraceStore(TraceSoA &soa, const std::string &path,
     const std::byte *map = static_cast<const std::byte *>(base);
     TraceSoA::Columns cols;
     cols.size = hdr.count;
-    cols.producerLinks = hdr.producerLinks;
     cols.pc = reinterpret_cast<const Addr *>(map + hdr.col[0].offset);
     cols.memAddr = reinterpret_cast<const Addr *>(map + hdr.col[1].offset);
     for (int slot = 0; slot < numSrcSlots; ++slot)
@@ -378,9 +382,8 @@ extractRegion(const TraceSoA &soa, std::uint64_t base,
         dst.resize(n);
         for (std::uint64_t i = 0; i < n; ++i) {
             const InstId p = src[i];
-            const bool kept = p != invalidInstId && p >= base;
-            dst[i] = kept ? p - base : invalidInstId;
-            region.producerLinks_ += kept;
+            dst[i] = p != invalidInstId && p >= base ? p - base
+                                                     : invalidInstId;
         }
     }
     copy(region.op_, soa.op());

@@ -14,8 +14,9 @@
  * column layout for a declared capacity and pwrite()s each appended
  * chunk's column slices straight from the chunk's own columns at
  * their final offsets, so build-side memory is O(chunk). finalize()
- * stamps the real instruction count (and the producer-link total the
- * timing core needs to size its waiter pool) into the header.
+ * stamps the real instruction count and the producer-link total into
+ * the header. The link total is informational: loading ignores it,
+ * and nothing is sized from it.
  *
  * All multi-byte fields are little-endian; the header carries an
  * endianness tag and loads reject foreign byte order with
@@ -94,6 +95,7 @@ class TraceStoreWriter
     std::string path_;
     std::uint64_t capacity_ = 0;
     std::uint64_t written_ = 0;
+    /** Valid links counted over the appended producer columns. */
     std::uint64_t producerLinks_ = 0;
 };
 
@@ -109,7 +111,8 @@ bool saveTraceStore(const Trace &trace, const std::string &path);
  * alive as long as the view (or anything holding its keepalive) does.
  * The header and column extents are validated; producer links are
  * not (the timing core rejects a link that does not precede its
- * consumer). @param[out] soa Replaced on success; untouched otherwise.
+ * consumer), and the header's link total is not read at all.
+ * @param[out] soa Replaced on success; untouched otherwise.
  */
 TraceIoStatus loadTraceStore(TraceSoA &soa, const std::string &path,
                              TraceStoreInfo *info = nullptr);

@@ -24,7 +24,9 @@ randomMachineConfig(Rng &rng)
         1 + static_cast<unsigned>(rng.below(config.cluster.issueWidth));
     config.windowPerCluster =
         1 + static_cast<unsigned>(rng.below(32));
-    config.robEntries = 8 + static_cast<unsigned>(rng.below(249));
+    // 1..600 crosses every power-of-two ring size the core's
+    // in-flight tables take, from 1 to 1024 slots.
+    config.robEntries = 1 + static_cast<unsigned>(rng.below(600));
     config.fetchWidth = 1 + static_cast<unsigned>(rng.below(8));
     config.dispatchWidth = 1 + static_cast<unsigned>(rng.below(8));
     config.commitWidth = 1 + static_cast<unsigned>(rng.below(8));

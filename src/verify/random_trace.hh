@@ -24,11 +24,11 @@ namespace csim {
 
 /**
  * A random but valid machine geometry: 1..16 clusters of width 1..4,
- * nonzero ports of every class, small-to-paper-sized windows, ROB and
- * stage widths, and forwarding latency 0..4. Deliberately includes
- * degenerate shapes (1-entry windows, single-port clusters,
- * zero-latency forwarding) — those corners are where occupancy and
- * bypass bugs live.
+ * nonzero ports of every class, small-to-paper-sized windows and
+ * stage widths, a 1..600-entry ROB, and forwarding latency 0..4.
+ * Deliberately includes degenerate shapes (1-entry windows and ROBs,
+ * single-port clusters, zero-latency forwarding) — those corners are
+ * where occupancy, ring-aliasing and bypass bugs live.
  */
 MachineConfig randomMachineConfig(Rng &rng);
 

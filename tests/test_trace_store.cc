@@ -23,6 +23,7 @@
 
 #include "core/timing_sim.hh"
 #include "harness/experiment.hh"
+#include "obs/run_ledger.hh"
 #include "policy/scheduling.hh"
 #include "policy/steering.hh"
 #include "trace/trace_soa.hh"
@@ -89,7 +90,18 @@ expectColumnEqual(std::span<const T> got, std::span<const T> want,
         << column << " differs at row " << (diff.in1 - got.begin());
 }
 
-/** All twelve stored columns and the producer-link total. */
+/** Valid producer links over the three producer columns. */
+std::uint64_t
+countLinks(const TraceSoA &soa)
+{
+    std::uint64_t links = 0;
+    for (int slot = 0; slot < numSrcSlots; ++slot)
+        links += static_cast<std::uint64_t>(std::ranges::count_if(
+            soa.prod(slot), [](InstId p) { return p != invalidInstId; }));
+    return links;
+}
+
+/** All twelve stored columns. */
 void
 expectColumnsEqual(const TraceSoA &got, const TraceSoA &want)
 {
@@ -106,7 +118,6 @@ expectColumnsEqual(const TraceSoA &got, const TraceSoA &want)
     expectColumnEqual(got.dest(), want.dest(), "dest");
     expectColumnEqual(got.src1(), want.src1(), "src1");
     expectColumnEqual(got.src2(), want.src2(), "src2");
-    EXPECT_EQ(got.producerLinks(), want.producerLinks());
 }
 
 TEST(TraceStore, RoundTripPreservesEverything)
@@ -310,19 +321,19 @@ TEST(TraceStoreDeath, BuildTraceStoreFileStopsWhenAWriteFailsPartway)
 TEST(TraceStore, ClearKeepsCapacity)
 {
     // The streaming build refills the same chunk buffers: clear() must
-    // not give the capacity back, and must drop the producer-link
-    // count with the rows.
+    // not give the capacity back, and must drop every column's rows,
+    // the producer links included.
     Trace chunk = smallTrace("vpr", 500, 1);
     const std::size_t capacity = chunk.capacity();
     ASSERT_GE(capacity, chunk.size());
-    ASSERT_GT(chunk.soa().producerLinks(), 0u);
+    ASSERT_GT(countLinks(chunk.soa()), 0u);
 
     chunk.clear();
     EXPECT_TRUE(chunk.empty());
     EXPECT_EQ(chunk.capacity(), capacity);
     EXPECT_EQ(chunk.footprintBytes(), 0u);
     EXPECT_EQ(chunk.soa().size(), 0u);
-    EXPECT_EQ(chunk.soa().producerLinks(), 0u);
+    EXPECT_EQ(countLinks(chunk.soa()), 0u);
 }
 
 TEST(TraceStore, ExtractRegionRebasesProducerLinks)
@@ -337,6 +348,7 @@ TEST(TraceStore, ExtractRegionRebasesProducerLinks)
     EXPECT_TRUE(region.wellFormed());
 
     std::uint64_t kept = 0;
+    std::uint64_t in_rows = 0;
     for (std::uint64_t i = 0; i < len; ++i) {
         SCOPED_TRACE(i);
         const TraceRecord src = original[base + i];
@@ -347,6 +359,7 @@ TEST(TraceStore, ExtractRegionRebasesProducerLinks)
         EXPECT_EQ(region.soa().flags()[i], soa.flags()[base + i]);
         for (int slot = 0; slot < numSrcSlots; ++slot) {
             const InstId p = src.prod[slot];
+            in_rows += p != invalidInstId;
             if (p == invalidInstId || p < base) {
                 EXPECT_EQ(dst.prod[slot], invalidInstId);
             } else {
@@ -355,10 +368,10 @@ TEST(TraceStore, ExtractRegionRebasesProducerLinks)
             }
         }
     }
-    // Links reaching before the region no longer count.
+    // Links reaching before the region are gone from its columns.
     EXPECT_GT(kept, 0u);
-    EXPECT_LT(kept, soa.producerLinks());
-    EXPECT_EQ(region.soa().producerLinks(), kept);
+    EXPECT_LT(kept, in_rows);
+    EXPECT_EQ(countLinks(region.soa()), kept);
 }
 
 TEST(TraceStore, ExtractRegionClampsAtTraceEnd)
@@ -695,6 +708,52 @@ TEST(TraceStoreCorruption, UnknownFlagIsBadVersion)
         EXPECT_EQ(loadTraceStore(soa, path), TraceIoStatus::BadVersion);
         std::remove(path.c_str());
     }
+}
+
+TEST(TraceStoreCorruption, MisstatedLinkTotalSimulatesIdentically)
+{
+    // The header's producer-link total is outside input like any other
+    // field, and nothing may be sized from it. A store claiming no
+    // links, one link too few, one fewer than it has rows, or more
+    // than three slots per row can hold must load and simulate exactly
+    // like the honest one.
+    const Trace original = smallTrace("gcc", 4000, 1);
+    const std::string path = tempPath("linktotal");
+    ASSERT_TRUE(saveTraceStore(original, path));
+    const MachineConfig mc = MachineConfig::clustered(4);
+    auto simulate = [&mc](const TraceSoA &soa) {
+        UnifiedSteering steer(UnifiedSteeringOptions{}, nullptr, nullptr);
+        AgeScheduling age;
+        return TimingSim(mc, soa, steer, age).run();
+    };
+    SimResult want;
+    {
+        TraceSoA honest;
+        ASSERT_EQ(loadTraceStore(honest, path), TraceIoStatus::Ok);
+        want = simulate(honest);
+    }
+    ASSERT_EQ(want.instructions, original.size());
+
+    const std::uint64_t count = original.size();
+    const std::uint64_t true_links = countLinks(original.soa());
+    ASSERT_GT(true_links, 0u);
+    for (const std::uint64_t links : {std::uint64_t{0}, true_links - 1,
+                                      count - 1, 3 * count + 1}) {
+        SCOPED_TRACE(links);
+        std::FILE *f = std::fopen(path.c_str(), "rb+");
+        ASSERT_NE(f, nullptr);
+        // The link total sits at byte 32, after count and capacity.
+        ASSERT_EQ(std::fseek(f, 32, SEEK_SET), 0);
+        ASSERT_EQ(std::fwrite(&links, sizeof(links), 1, f), 1u);
+        std::fclose(f);
+
+        TraceSoA soa;
+        ASSERT_EQ(loadTraceStore(soa, path), TraceIoStatus::Ok);
+        const SimResult got = simulate(soa);
+        EXPECT_EQ(got.cycles, want.cycles);
+        EXPECT_EQ(statsDigest(got.stats), statsDigest(want.stats));
+    }
+    std::remove(path.c_str());
 }
 
 TEST(TraceIo, StatusNames)
