@@ -7,6 +7,7 @@
  * comparison.
  */
 
+#include <array>
 #include <cstdio>
 #include <vector>
 
@@ -25,31 +26,28 @@ main(int argc, char **argv)
     SweepSpec spec;
     ctx.apply(spec.cfg);
     const std::vector<std::string> workloads = workloadNames();
-    // cellAt[latency-1][mode]: baseline + 3 cluster cells per
-    // workload, workload-major. Cell labels repeat across latencies
-    // (the machine name does not encode fwdLatency), so the per-run
-    // stats are not exported; the scalars carry the figure.
-    struct WlCells
-    {
-        std::size_t base;
-        std::size_t clustered[3];
-    };
-    std::vector<std::vector<std::vector<WlCells>>> cellAt;
+    // baseAt[mode][w]: the 1x8w baseline, declared once per mode: one
+    // cluster never forwards, so its run does not depend on fwdLatency
+    // (test_sweep pins this). cellAt[latency-1][mode][w]: the 2x4w,
+    // 4x2w and 8x1w cells. Cell labels repeat across latencies (the
+    // machine name does not encode fwdLatency), so the per-run stats
+    // are not exported; the scalars carry the figure.
+    std::vector<std::size_t> baseAt[2];
+    std::vector<std::array<std::size_t, 3>> cellAt[4][2];
+    for (const std::string &wl : workloads) {
+        baseAt[0].push_back(spec.addIdeal(wl, MachineConfig::monolithic()));
+        baseAt[1].push_back(spec.addTiming(
+            wl, MachineConfig::monolithic(), PolicyKind::FocusedLoc));
+    }
     for (unsigned lat : {1u, 2u, 3u, 4u}) {
-        std::vector<std::vector<WlCells>> modes(2);
         for (int mode = 0; mode < 2; ++mode) {
             for (const std::string &wl : workloads) {
-                MachineConfig mono = MachineConfig::monolithic();
-                mono.fwdLatency = lat;
-                WlCells cells;
-                cells.base = mode == 0
-                    ? spec.addIdeal(wl, mono)
-                    : spec.addTiming(wl, mono, PolicyKind::FocusedLoc);
+                std::array<std::size_t, 3> cells;
                 int idx = 0;
                 for (unsigned n : {2u, 4u, 8u}) {
                     MachineConfig mc = MachineConfig::clustered(n);
                     mc.fwdLatency = lat;
-                    cells.clustered[idx++] = mode == 0
+                    cells[idx++] = mode == 0
                         ? spec.addIdeal(wl, mc)
                         : spec.addTiming(
                               wl, mc,
@@ -58,10 +56,9 @@ main(int argc, char **argv)
                                         FocusedLocStallProactive
                                   : PolicyKind::FocusedLocStall);
                 }
-                modes[mode].push_back(cells);
+                cellAt[lat - 1][mode].push_back(cells);
             }
         }
-        cellAt.push_back(std::move(modes));
     }
 
     SweepOutcome outcome = ctx.runner().run(spec);
@@ -73,11 +70,12 @@ main(int argc, char **argv)
     for (unsigned lat : {1u, 2u, 3u, 4u}) {
         for (int mode = 0; mode < 2; ++mode) {
             double avg[3] = {0.0, 0.0, 0.0};
-            for (const WlCells &cells : cellAt[lat - 1][mode]) {
-                const double base = outcome.at(cells.base).cpi();
+            for (std::size_t w = 0; w < workloads.size(); ++w) {
+                const double base = outcome.at(baseAt[mode][w]).cpi();
                 for (int idx = 0; idx < 3; ++idx)
                     avg[idx] +=
-                        outcome.at(cells.clustered[idx]).cpi() / base;
+                        outcome.at(cellAt[lat - 1][mode][w][idx]).cpi() /
+                        base;
             }
             const double k = static_cast<double>(workloads.size());
             t.addRow({std::to_string(lat),

@@ -9,7 +9,6 @@
 #include "common/logging.hh"
 #include "core/sim_observer.hh"
 #include "obs/host_prof.hh"
-#include "obs/pipe_trace.hh"
 
 namespace csim {
 
@@ -815,12 +814,10 @@ TimingSim::doCommit()
         t.commit = now_;
         for (SimObserver *obs : observers_)
             obs->onCommit(*this, commitIdx_);
-        const TraceRecord rec = soa_.record(commitIdx_);
-        if (options_.pipeTracer)
-            options_.pipeTracer->onRetire(commitIdx_, rec, t);
         if (listener_)
             listener_->onCommit(*this, commitIdx_);
-        steering_.notifyCommit(*this, commitIdx_, rec);
+        steering_.notifyCommit(*this, commitIdx_,
+                               soa_.record(commitIdx_));
         ++commitIdx_;
         ++committed;
         if (commitIdx_ == nextPhaseBoundary_)

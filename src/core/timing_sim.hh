@@ -35,7 +35,6 @@
 
 namespace csim {
 
-class PipeTracer;
 class SimObserver;
 
 /**
@@ -90,16 +89,10 @@ struct SimOptions
      */
     unsigned maxCpi = 1000;
     /**
-     * Optional pipeline event tracer, fed each instruction at commit
-     * (all timestamps final). The tracer's own [startInst, endInst)
-     * window gates the output; the tracer must outlive run().
-     */
-    PipeTracer *pipeTracer = nullptr;
-    /**
      * Optional pipeline observer (the invariant checker in
      * src/verify), driven at steer, issue, commit and every cycle
-     * boundary. Like pipeTracer it must outlive run(); its stats are
-     * registered into the run's registry at construction.
+     * boundary. It must outlive run(); its stats are registered into
+     * the run's registry at construction.
      */
     SimObserver *checker = nullptr;
     /**

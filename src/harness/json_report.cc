@@ -215,8 +215,8 @@ usage(const std::string &benchmark, const char *bad_arg)
                  "[--adaptive] [--adaptive-interval N]\n"
                  "       [--trace-out <path>] [--ledger-out <path>] "
                  "[--heartbeat-ms N]\n"
-                 "       [--stats-filter p1,p2] [--regions K] "
-                 "[--region-len N] [--warmup N]\n",
+                 "       [--stats-filter p1,p2] "
+                 "[--regions K --region-len N [--warmup N]]\n",
                  benchmark.c_str());
     if (bad_arg)
         CSIM_FATAL_F("%s: unknown or incomplete argument '%s'",
@@ -338,6 +338,11 @@ BenchContext::BenchContext(std::string benchmark, int argc, char **argv)
     if (regions_ != 0 && regionLen_ == 0)
         CSIM_FATAL_F("%s: --regions requires --region-len",
                      benchmark_.c_str());
+    // --warmup is each sampled region's warmup phase; a full run keeps
+    // the paper's full training pass (ExperimentConfig::warmupRuns).
+    if (warmup_ != 0 && regions_ == 0)
+        CSIM_FATAL_F("%s: --warmup requires --regions",
+                     benchmark_.c_str());
 
     // Strict env handling: a malformed CSIM_LOG is fatal, never a
     // silent fall-back to the default level.
@@ -411,14 +416,6 @@ BenchContext::apply(ExperimentConfig &cfg) const
         cfg.regions = regions_;
         cfg.regionLen = regionLen_;
         cfg.regionWarmup = warmup_;
-    } else if (warmup_ != 0) {
-        // Phase-based warmup on the full trace: one discarded warmup
-        // window followed by a to-trace-end measured phase. Replaces
-        // the legacy full-pass warmupRuns (see runPolicy).
-        cfg.simOptions.phases = {
-            PhaseSpec{"warmup", warmup_, true},
-            PhaseSpec{"measure", 0, false},
-        };
     }
 }
 

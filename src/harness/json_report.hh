@@ -8,9 +8,11 @@
  * `--seeds a,b,c`, `--threads N`, `--check`, `--profile`,
  * `--profile-interval N`, `--adaptive`, `--adaptive-interval N`,
  * `--trace-out <path>`, `--ledger-out <path>`, `--heartbeat-ms N`,
- * `--stats-filter p1,p2`, `--regions K`, `--region-len N` and
- * `--warmup N`, owns the sweep runner + trace cache the bench
- * executes on, wires the run ledger + crash flight recorder
+ * `--stats-filter p1,p2` and `--regions K --region-len N
+ * [--warmup N]` (region sampling; `--warmup` is each region's warmup
+ * phase and is fatal without `--regions`, since a full run keeps the
+ * paper's full training pass), owns the sweep runner + trace cache
+ * the bench executes on, wires the run ledger + crash flight recorder
  * (src/obs) into every bench, collects FigureGrids, scalars and
  * per-run registry snapshots (plus interval series when profiling)
  * while the bench runs, and on finish() writes one report file with a
@@ -177,7 +179,8 @@ class BenchContext
      * additionally arms cfg.verify: every measured run gets a live
      * PipelineChecker + post-run audit and every policy cell is held
      * to the differential CPI oracles (fatal on violation).
-     * `--profile` arms cfg.profile the same way.
+     * `--profile` arms cfg.profile the same way, and `--regions`
+     * sets region sampling (with `--warmup` as each region's warmup).
      */
     void apply(ExperimentConfig &cfg) const;
 
@@ -279,7 +282,7 @@ class BenchContext
     std::uint64_t adaptiveInterval_ = 0;  ///< 0: keep config default
     unsigned regions_ = 0;                ///< --regions: sampled regions
     std::uint64_t regionLen_ = 0;         ///< --region-len: instrs each
-    std::uint64_t warmup_ = 0;            ///< --warmup: phase warmup
+    std::uint64_t warmup_ = 0;            ///< --warmup: region warmup
     /** --stats-filter / CSIM_STATS_FILTER prefixes ("": no filter). */
     std::vector<std::string> statsFilter_;
     std::chrono::steady_clock::time_point start_;

@@ -92,9 +92,11 @@ copyTruncated(char *dst, std::size_t cap, const char *src)
 
 /**
  * Line-by-line dump renderer shared by the crash path (emit = write())
- * and dumpToString (emit = string append). Every line is built into a
- * stack buffer with snprintf — async-signal-safe on every libc this
- * project targets, and the crash path allocates nothing.
+ * and dumpToString (emit = string append). Every line but the replay
+ * command (which can outgrow the buffer, so it is emitted as stored)
+ * is built into a stack buffer with snprintf — async-signal-safe on
+ * every libc this project targets, and the crash path allocates
+ * nothing.
  */
 template <typename Emit>
 void
@@ -106,8 +108,9 @@ renderDump(const char *reason, Emit &&emit)
                   reason ? reason : "?");
     emit(line);
     if (g_replay[0] != '\0') {
-        std::snprintf(line, sizeof(line), "replay: %s\n", g_replay);
-        emit(line);
+        emit("replay: ");
+        emit(g_replay);
+        emit("\n");
     }
     for (std::size_t t = 0; t < FlightRecorder::maxThreads; ++t) {
         Ring &ring = g_rings[t];

@@ -1,5 +1,6 @@
 #include "obs/pipe_trace.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -8,68 +9,55 @@
 
 namespace csim {
 
-PipeTracer::PipeTracer(std::ostream &out, PipeTraceOptions options)
-    : out_(out), options_(options)
-{
-    CSIM_ASSERT(options_.startInst <= options_.endInst);
-    CSIM_ASSERT(options_.startCycle <= options_.endCycle);
-}
-
-void
-PipeTracer::onRetire(InstId id, const TraceRecord &rec,
-                     const InstTiming &timing)
-{
-    if (id < options_.startInst || id >= options_.endInst)
-        return;
-    if (timing.fetch < options_.startCycle ||
-        timing.fetch >= options_.endCycle)
-        return;
-
-    // A retired instruction must have a complete, ordered lifecycle;
-    // anything else is a core bug the tracer refuses to paper over.
-    CSIM_ASSERT(timing.fetch != invalidCycle);
-    CSIM_ASSERT(timing.fetch <= timing.dispatch);
-    CSIM_ASSERT(timing.dispatch <= timing.issue);
-    CSIM_ASSERT(timing.issue <= timing.complete);
-    CSIM_ASSERT(timing.complete < timing.commit);
-
-    char buf[256];
-    std::snprintf(
-        buf, sizeof buf,
-        "O3PipeView:fetch:%" PRIu64 ":0x%08" PRIx64 ":0:%" PRIu64
-        ":%s c%u crit=%d loc=%u\n"
-        "O3PipeView:decode:%" PRIu64 "\n"
-        "O3PipeView:rename:%" PRIu64 "\n"
-        "O3PipeView:dispatch:%" PRIu64 "\n"
-        "O3PipeView:issue:%" PRIu64 "\n"
-        "O3PipeView:complete:%" PRIu64 "\n"
-        "O3PipeView:retire:%" PRIu64 ":store:0\n",
-        timing.fetch, rec.pc, id,
-        std::string(opName(rec.op)).c_str(),
-        static_cast<unsigned>(timing.cluster),
-        timing.predictedCritical ? 1 : 0,
-        static_cast<unsigned>(timing.locLevel),
-        timing.dispatch, timing.dispatch, timing.dispatch,
-        timing.issue, timing.complete, timing.commit);
-    out_ << buf;
-    ++traced_;
-}
-
-void
+std::uint64_t
 writePipeTrace(std::ostream &out, const Trace &trace,
                const std::vector<InstTiming> &timing,
                PipeTraceOptions options)
 {
+    CSIM_ASSERT(options.startInst <= options.endInst);
+    CSIM_ASSERT(options.startCycle <= options.endCycle);
     const TraceSoA view = trace.soa();
     CSIM_ASSERT(timing.size() >= view.size());
-    PipeTracer tracer(out, options);
-    // The O3PipeView lines carry only the pc and the opcode.
-    TraceRecord rec;
-    for (InstId id = 0; id < view.size(); ++id) {
-        rec.pc = view.pc()[id];
-        rec.op = view.op()[id];
-        tracer.onRetire(id, rec, timing[id]);
+    std::uint64_t traced = 0;
+    const InstId end = std::min<std::uint64_t>(view.size(),
+                                               options.endInst);
+    for (InstId id = options.startInst; id < end; ++id) {
+        const InstTiming &t = timing[id];
+        if (t.fetch < options.startCycle || t.fetch >= options.endCycle)
+            continue;
+
+        // A retired instruction must have a complete, ordered
+        // lifecycle; anything else is a core bug the tracer refuses to
+        // paper over.
+        CSIM_ASSERT(t.fetch != invalidCycle);
+        CSIM_ASSERT(t.fetch <= t.dispatch);
+        CSIM_ASSERT(t.dispatch <= t.issue);
+        CSIM_ASSERT(t.issue <= t.complete);
+        CSIM_ASSERT(t.complete < t.commit);
+
+        // The O3PipeView lines carry only the pc and the opcode.
+        char buf[256];
+        std::snprintf(
+            buf, sizeof buf,
+            "O3PipeView:fetch:%" PRIu64 ":0x%08" PRIx64 ":0:%" PRIu64
+            ":%s c%u crit=%d loc=%u\n"
+            "O3PipeView:decode:%" PRIu64 "\n"
+            "O3PipeView:rename:%" PRIu64 "\n"
+            "O3PipeView:dispatch:%" PRIu64 "\n"
+            "O3PipeView:issue:%" PRIu64 "\n"
+            "O3PipeView:complete:%" PRIu64 "\n"
+            "O3PipeView:retire:%" PRIu64 ":store:0\n",
+            t.fetch, view.pc()[id], id,
+            std::string(opName(view.op()[id])).c_str(),
+            static_cast<unsigned>(t.cluster),
+            t.predictedCritical ? 1 : 0,
+            static_cast<unsigned>(t.locLevel),
+            t.dispatch, t.dispatch, t.dispatch,
+            t.issue, t.complete, t.commit);
+        out << buf;
+        ++traced;
     }
+    return traced;
 }
 
 } // namespace csim

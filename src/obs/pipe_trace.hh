@@ -49,35 +49,13 @@ struct PipeTraceOptions
 };
 
 /**
- * Streaming tracer the timing core drives at commit time, when every
- * timestamp of the retiring instruction is final.
+ * Trace a finished run from its timing records, in dynamic (= commit)
+ * order, every timestamp final. Returns the number of instructions
+ * emitted (those inside both windows).
  */
-class PipeTracer
-{
-  public:
-    explicit PipeTracer(std::ostream &out,
-                        PipeTraceOptions options = PipeTraceOptions{});
-
-    /** Emit the record for a retiring instruction (window-gated). */
-    void onRetire(InstId id, const TraceRecord &rec,
-                  const InstTiming &timing);
-
-    /** Instructions actually emitted (inside the sampling window). */
-    std::uint64_t traced() const { return traced_; }
-
-  private:
-    std::ostream &out_;
-    PipeTraceOptions options_;
-    std::uint64_t traced_ = 0;
-};
-
-/**
- * Post-hoc convenience: trace a finished run from its timing records
- * (identical output to an in-run PipeTracer).
- */
-void writePipeTrace(std::ostream &out, const Trace &trace,
-                    const std::vector<InstTiming> &timing,
-                    PipeTraceOptions options = PipeTraceOptions{});
+std::uint64_t writePipeTrace(std::ostream &out, const Trace &trace,
+                             const std::vector<InstTiming> &timing,
+                             PipeTraceOptions options = PipeTraceOptions{});
 
 } // namespace csim
 

@@ -324,6 +324,20 @@ TEST_F(FlightRecorderTest, DumpContainsRingContextAndReplay)
     EXPECT_NE(dump.find("[-2] event-alpha"), std::string::npos);
 }
 
+TEST_F(FlightRecorderTest, LongReplayCommandIsNotCut)
+{
+    // Longer than one rendered dump line: the command must still come
+    // out whole and newline-terminated, not run into the next line.
+    std::string cmd = "bench_xyz --seeds 1,2";
+    while (cmd.size() < 640)
+        cmd += " --stats-filter core.";
+    FlightRecorder::install(cmd);
+    FlightRecorder::setContext("next-line");
+    const std::string dump = FlightRecorder::dumpToString("long");
+    EXPECT_NE(dump.find("\nreplay: " + cmd + "\nthread "),
+              std::string::npos);
+}
+
 TEST_F(FlightRecorderTest, RingKeepsOnlyLastEntries)
 {
     FlightRecorder::install("cmd");
@@ -452,6 +466,20 @@ TEST(BenchContextLedgerDeathTest, BadHeartbeatPeriodIsFatal)
                  "bad --heartbeat-ms '0'");
 }
 
+TEST(BenchContextLedgerDeathTest, WarmupWithoutRegionsIsFatal)
+{
+    // --warmup is a sampled region's warmup phase; a full run keeps
+    // the full training pass, so the flag alone must not be ignored.
+    const char *argv[] = {"bench", "--warmup", "5000"};
+    EXPECT_DEATH(BenchContext("bench", 3, const_cast<char **>(argv)),
+                 "--warmup requires --regions");
+    const char *argv_len[] = {"bench", "--warmup", "5000",
+                              "--region-len", "2000"};
+    EXPECT_DEATH(
+        BenchContext("bench", 5, const_cast<char **>(argv_len)),
+        "--warmup requires --regions");
+}
+
 TEST(BenchContextLedgerDeathTest, SignedPaddedOrOverflowingNumberIsFatal)
 {
     // strtoull would negate "-1" into 2^64-1, skip the blank of " 5"
@@ -475,13 +503,19 @@ TEST(BenchContextLedgerDeathTest, SignedPaddedOrOverflowingNumberIsFatal)
 TEST(BenchContextLedger, NumericFlagsAcceptTheirRange)
 {
     const char *argv[] = {"bench", "--seeds", "0,18446744073709551615",
-                          "--instructions", "4000"};
-    BenchContext ctx("bench", 5, const_cast<char **>(argv));
+                          "--instructions", "4000", "--regions", "4",
+                          "--region-len", "2000", "--warmup", "500"};
+    BenchContext ctx("bench", 11, const_cast<char **>(argv));
     ExperimentConfig cfg;
     ctx.apply(cfg);
     EXPECT_EQ(cfg.instructions, 4000u);
     EXPECT_EQ(cfg.seeds,
               (std::vector<std::uint64_t>{0, UINT64_MAX}));
+    EXPECT_EQ(cfg.regions, 4u);
+    EXPECT_EQ(cfg.regionLen, 2000u);
+    // --warmup is each region's warmup; the full run's phases stay off.
+    EXPECT_EQ(cfg.regionWarmup, 500u);
+    EXPECT_TRUE(cfg.simOptions.phases.empty());
 }
 
 TEST(BenchContextLedger, EndToEndLedgerAndProvenance)

@@ -3,8 +3,9 @@
  * Sweep engine tests: TraceCache build-once/hit/eviction semantics,
  * SweepRunner determinism across thread counts (bit-identical
  * aggregates, including the merged stats snapshots), equivalence with
- * the legacy sequential entry points, and BenchContext's --threads
- * front end.
+ * the legacy sequential entry points, BenchContext's --threads front
+ * end, and the fwdLatency independence of one-cluster jobs that
+ * bench_latency_sweep's shared 1x8w baselines rest on.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "harness/json_report.hh"
 #include "harness/sweep.hh"
 #include "harness/trace_cache.hh"
+#include "obs/run_ledger.hh"
 #include "trace/trace_soa.hh"
 
 namespace csim {
@@ -505,6 +507,56 @@ TEST(SweepRunner, WallTimeAndCellsRecorded)
     EXPECT_EQ(out.cells[0].label(), "gzip/1x8w/mod-n");
     EXPECT_GE(out.wallSeconds, 0.0);
     EXPECT_GT(out.at(0).instructions, 0u);
+}
+
+// ---------------------------------------------------------------- //
+// One-cluster machines never forward
+
+TEST(MonolithicMachine, JobsDoNotDependOnFwdLatency)
+{
+    // bench_latency_sweep runs each 1x8w baseline once for all four
+    // forwarding latencies. That is sound only if every job the
+    // golden digests pin (cycles and statsDigest, timing and ideal
+    // cells, checked as the golden run is) is the same at any latency.
+    ExperimentConfig cfg = smallConfig();
+    cfg.verify.checker = true;
+    cfg.verify.oracle = true;
+    TraceCache cache;
+    for (const char *wl : {"bzip2", "gzip", "mcf"}) {
+        for (std::uint64_t seed : cfg.seeds) {
+            SCOPED_TRACE(std::string(wl) + " seed " +
+                         std::to_string(seed));
+            auto trace = cache.get(wl, smallWorkload(seed));
+            auto jobs = [&](unsigned lat) {
+                MachineConfig mono = MachineConfig::monolithic();
+                mono.fwdLatency = lat;
+                std::vector<AggregateResult> out;
+                for (PolicyKind kind :
+                     {PolicyKind::FocusedLoc,
+                      PolicyKind::FocusedLocStallProactive})
+                    out.push_back(
+                        runPolicyCell(*trace, mono, kind, cfg));
+                for (auto prio :
+                     {ListSchedOptions::Priority::DataflowHeight,
+                      ListSchedOptions::Priority::Loc})
+                    out.push_back(runIdealCell(*trace, mono, cfg, prio));
+                return out;
+            };
+            const std::vector<AggregateResult> ref =
+                jobs(MachineConfig::monolithic().fwdLatency);
+            for (unsigned lat : {1u, 3u, 4u, 9u}) {
+                const std::vector<AggregateResult> got = jobs(lat);
+                ASSERT_EQ(got.size(), ref.size());
+                for (std::size_t j = 0; j < ref.size(); ++j) {
+                    SCOPED_TRACE("latency " + std::to_string(lat) +
+                                 " job " + std::to_string(j));
+                    EXPECT_EQ(got[j].cycles, ref[j].cycles);
+                    EXPECT_EQ(statsDigest(got[j].stats),
+                              statsDigest(ref[j].stats));
+                }
+            }
+        }
+    }
 }
 
 TEST(SweepRunner, DefaultThreadsReadsEnv)
