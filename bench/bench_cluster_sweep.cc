@@ -6,7 +6,8 @@
  * paper's Sec. 5) that low-ILP programs do better on FEWER 1-wide
  * clusters — more clusters lower the odds that load-balance steering
  * lands critical dependences together — and shows how stall-over-steer
- * removes that sensitivity.
+ * removes that sensitivity. The third row is their remedy, adaptive
+ * active-cluster steering with age scheduling.
  */
 
 #include <cstdio>
@@ -16,8 +17,6 @@
 #include "harness/json_report.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
-#include "policy/extra_steering.hh"
-#include "policy/scheduling.hh"
 
 using namespace csim;
 
@@ -31,70 +30,33 @@ main(int argc, char **argv)
                                            "gap"};
     const unsigned ns[] = {2u, 4u, 8u, 16u};
 
-    // Modes 0/1 are standard policy cells; mode 2 (adaptive
-    // active-cluster steering) has no PolicyKind, so it runs on the
-    // raw parallelFor with the same shared trace cache.
+    const PolicyKind modes[] = {PolicyKind::Focused,
+                                PolicyKind::FocusedLocStall,
+                                PolicyKind::ActiveClusters};
     SweepSpec spec;
     ctx.apply(spec.cfg);
     std::vector<std::size_t> baseCells;
-    // policyCells[wl][mode 0/1][n-index]
+    // policyCells[wl][mode][n-index]
     std::vector<std::vector<std::vector<std::size_t>>> policyCells;
     for (const std::string &wl : lows) {
         baseCells.push_back(spec.addTiming(
             wl, MachineConfig::monolithic(), PolicyKind::FocusedLoc));
-        std::vector<std::vector<std::size_t>> modes(2);
-        for (int mode = 0; mode < 2; ++mode)
+        std::vector<std::vector<std::size_t>> cells(3);
+        for (int mode = 0; mode < 3; ++mode)
             for (unsigned n : ns)
-                modes[mode].push_back(spec.addTiming(
-                    wl, MachineConfig::generic(n, 1),
-                    mode == 0 ? PolicyKind::Focused
-                              : PolicyKind::FocusedLocStall));
-        policyCells.push_back(std::move(modes));
+                cells[mode].push_back(spec.addTiming(
+                    wl, MachineConfig::generic(n, 1), modes[mode]));
+        policyCells.push_back(std::move(cells));
     }
 
     SweepOutcome outcome = ctx.runner().run(spec);
     ctx.addSweepRuns(outcome);
-
-    // Adaptive cells: one job per (workload, cluster count); each job
-    // walks its seeds in order, so the per-job CPI is deterministic
-    // and the table below reads the slots in declaration order.
-    struct AdaptiveJob
-    {
-        std::size_t wl;
-        unsigned n;
-        double cpi = 0.0;
-    };
-    std::vector<AdaptiveJob> adaptive;
-    for (std::size_t w = 0; w < lows.size(); ++w)
-        for (unsigned n : ns)
-            adaptive.push_back({w, n, 0.0});
-    SweepRunner &runner = ctx.runner();
-    runner.parallelFor(adaptive.size(), [&](std::size_t i) {
-        AdaptiveJob &job = adaptive[i];
-        double cycles = 0.0, instrs = 0.0;
-        for (std::uint64_t seed : spec.cfg.seeds) {
-            WorkloadConfig wcfg;
-            wcfg.targetInstructions = spec.cfg.instructions;
-            wcfg.seed = seed;
-            std::shared_ptr<const Trace> trace =
-                runner.cache().get(lows[job.wl], wcfg);
-            AdaptiveClusterSteering steer;
-            AgeScheduling age;
-            SimResult res =
-                TimingSim(MachineConfig::generic(job.n, 1), *trace,
-                          steer, age).run();
-            cycles += static_cast<double>(res.cycles);
-            instrs += static_cast<double>(res.instructions);
-        }
-        job.cpi = cycles / instrs;
-    });
 
     std::printf("=== Cluster sweep, 1-wide clusters (CPI normalized "
                 "to 1x8w, focused policy baseline) ===\n\n");
     TextTable t({"benchmark", "policy", "2x1w", "4x1w", "8x1w",
                  "16x1w"});
 
-    std::size_t adaptiveIdx = 0;
     for (std::size_t w = 0; w < lows.size(); ++w) {
         const std::string &wl = lows[w];
         const double base_cpi = outcome.at(baseCells[w]).cpi();
@@ -103,9 +65,8 @@ main(int argc, char **argv)
                 : mode == 1 ? "+loc+stall" : "adaptive[2]";
             std::vector<std::string> row{wl, label};
             for (std::size_t ni = 0; ni < 4; ++ni) {
-                const double cpi = mode < 2
-                    ? outcome.at(policyCells[w][mode][ni]).cpi()
-                    : adaptive[adaptiveIdx + ni].cpi;
+                const double cpi =
+                    outcome.at(policyCells[w][mode][ni]).cpi();
                 row.push_back(formatDouble(cpi / base_cpi, 3));
                 ctx.addScalar("normCpi." + wl + "." + label + "." +
                                   std::to_string(ns[ni]) + "x1w",
@@ -113,7 +74,6 @@ main(int argc, char **argv)
             }
             t.addRow(std::move(row));
         }
-        adaptiveIdx += 4;
     }
 
     std::printf("%s\n", t.str().c_str());

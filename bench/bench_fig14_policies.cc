@@ -9,9 +9,21 @@
  * scheduling. Also reports the headline stat: the penalty reduction
  * per configuration (paper: 42% / 57% / 66%) and the fwd/contention
  * components.
+ *
+ * Figure 15 prints from the same sweep: achieved vs available ILP of
+ * the 8x1w full-stack runs, captured by the run hook on each worker
+ * thread (SimOptions::collectIlp). Available ILP = ready instructions
+ * across all clusters that cycle; achieved = instructions actually
+ * issued. The paper's shape: achieved tracks available at low ILP,
+ * saturates well below 8 when available ILP is near the machine width
+ * (the distributed-steering information gap), and recovers toward 8
+ * when available ILP is abundant. It needs full-trace runs; under
+ * --regions one line stands in for it.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "harness/json_report.hh"
@@ -47,6 +59,7 @@ main(int argc, char **argv)
     // each clustered configuration.
     SweepSpec spec;
     ctx.apply(spec.cfg);
+    spec.cfg.simOptions.collectIlp = true;
     struct ClusterCell
     {
         std::size_t index;
@@ -76,7 +89,26 @@ main(int argc, char **argv)
         clusterCells.push_back(std::move(cells));
     }
 
-    SweepOutcome outcome = ctx.runner().run(spec);
+    // ilp[cell][seedIndex]: the Fig. 15 capture of each 8x1w
+    // full-stack run, filled by the hook.
+    struct IlpCapture
+    {
+        std::vector<std::uint64_t> cycles;
+        std::vector<std::uint64_t> issuedSum;
+    };
+    std::vector<std::vector<IlpCapture>> ilp(
+        spec.cells.size(),
+        std::vector<IlpCapture>(spec.cfg.seeds.size()));
+    SweepOutcome outcome = ctx.runner().run(
+        spec, [&](const SweepJob &job, const Trace &,
+                  const PolicyRun &run) {
+            if (spec.cells[job.cell].policy !=
+                PolicyKind::FocusedLocStallProactive)
+                return;
+            IlpCapture &slot = ilp[job.cell][job.seedIndex];
+            slot.cycles = run.sim.ilpCycles;
+            slot.issuedSum = run.sim.ilpIssuedSum;
+        });
     ctx.addSweepRuns(outcome);
 
     const std::vector<std::string> workloads = workloadNames();
@@ -120,5 +152,52 @@ main(int argc, char **argv)
     ctx.addGrid(grid);
     ctx.addGrid(fwd_grid);
     ctx.addGrid(cont_grid);
+
+    if (spec.cfg.regions > 0) {
+        std::printf("Figure 15 reads whole-trace ILP captures; not "
+                    "printed under --regions.\n");
+        return ctx.finish();
+    }
+
+    // ---- Figure 15: folded in workload, seed order ----
+    const unsigned max_avail = 24;
+    std::vector<double> issued_sum(max_avail + 1, 0.0);
+    std::vector<double> cycles_sum(max_avail + 1, 0.0);
+    for (const std::vector<ClusterCell> &cells : clusterCells) {
+        for (const ClusterCell &cell : cells) {
+            for (const IlpCapture &run : ilp[cell.index]) {
+                for (std::size_t a = 0; a < run.cycles.size(); ++a) {
+                    const std::size_t b =
+                        std::min<std::size_t>(a, max_avail);
+                    issued_sum[b] +=
+                        static_cast<double>(run.issuedSum[a]);
+                    cycles_sum[b] += static_cast<double>(run.cycles[a]);
+                }
+            }
+        }
+    }
+
+    std::printf("=== Figure 15: achieved vs available ILP, 8x1w, "
+                "full policy stack (all benchmarks) ===\n\n");
+    std::printf("%10s  %12s  %14s\n", "available", "achieved",
+                "cycles (frac)");
+    double total_cycles = 0.0;
+    for (double c : cycles_sum)
+        total_cycles += c;
+    for (unsigned a = 0; a <= max_avail; ++a) {
+        if (cycles_sum[a] == 0.0)
+            continue;
+        const double achieved = issued_sum[a] / cycles_sum[a];
+        ctx.addScalar("achievedIlp." + std::to_string(a), achieved);
+        std::printf("%9u%s  %12.2f  %13.1f%%  %s\n", a,
+                    a == max_avail ? "+" : " ", achieved,
+                    100.0 * cycles_sum[a] / total_cycles,
+                    std::string(static_cast<std::size_t>(
+                                    6.0 * achieved), '*').c_str());
+    }
+    std::printf("\nPaper: achieved ILP tracks available ILP up to "
+                "~4-5, then saturates below the 8-wide peak near the "
+                "machine width and approaches it again only when "
+                "plenty of ready instructions exist per cluster.\n");
     return ctx.finish();
 }

@@ -13,21 +13,18 @@
  *    last in fetch order; proactive load-balancing recovers it.
  *  - Available-ILP == machine-width stress (Sec. 7 / Fig. 15).
  *
- * The micro traces live outside the workload registry, so this bench
- * runs its independent simulations through parallelFor directly and
- * prints the sections in order afterwards.
+ * The micro traces live outside the workload registry and keep one
+ * fixed shape (30000 instructions, seed 1) at every --instructions /
+ * --seeds setting, so this bench runs its few short simulations in a
+ * plain loop. Its timing runs go through runPolicyCell, so `--check`
+ * arms the live checker, the post-run audit and the CPI oracles.
  */
 
 #include <cstdio>
-#include <functional>
 #include <vector>
 
-#include "common/stats.hh"
+#include "harness/experiment.hh"
 #include "harness/json_report.hh"
-#include "harness/report.hh"
-#include "harness/sweep.hh"
-#include "policy/scheduling.hh"
-#include "policy/steering.hh"
 #include "workloads/micro.hh"
 
 using namespace csim;
@@ -43,11 +40,11 @@ annotate(Trace t)
     return t;
 }
 
-PolicyRun
-runKind(const Trace &t, const MachineConfig &mc, PolicyKind kind)
+std::uint64_t
+fwdCycles(const AggregateResult &res)
 {
-    ExperimentConfig cfg;
-    return runPolicy(t, mc, kind, cfg);
+    return res.categoryCycles[static_cast<std::size_t>(
+        CpCategory::FwdDelay)];
 }
 
 } // namespace
@@ -56,12 +53,12 @@ int
 main(int argc, char **argv)
 {
     BenchContext ctx("bench_paper_examples", argc, argv);
+    ExperimentConfig cfg;
+    ctx.apply(cfg);
     WorkloadConfig wcfg;
     wcfg.targetInstructions = 30000;
     wcfg.seed = 1;
 
-    // Traces are cheap to build; the simulations dominate, so each
-    // becomes one parallelFor job writing its own result slot.
     const Trace chain_t = annotate(buildMicroSerialChain(wcfg));
     const Trace conv_t = annotate(buildMicroConvergent(wcfg));
     const Trace exit_t = annotate(buildMicroEarlyExit(wcfg));
@@ -70,82 +67,56 @@ main(int argc, char **argv)
     for (unsigned chains : chainCounts)
         wide_t.push_back(annotate(buildMicroWideIlp(wcfg, chains)));
 
-    PolicyRun chain_dep, chain_stall;
+    const auto run = [&](const Trace &t, const MachineConfig &mc,
+                         PolicyKind kind) {
+        return runPolicyCell(t, mc, kind, cfg);
+    };
+    const MachineConfig mono = MachineConfig::monolithic();
+    const MachineConfig c8 = MachineConfig::clustered(8);
+
+    const AggregateResult chain_dep = run(chain_t, c8, PolicyKind::Dep);
+    const AggregateResult chain_stall =
+        run(chain_t, c8, PolicyKind::FocusedLocStall);
     double conv_norm[3] = {};
-    PolicyRun exit_mono, exit_dep, exit_full;
-    PolicyRun wide_mono[4], wide_clus[4];
-
-    std::vector<std::function<void()>> work;
-    work.push_back([&] {
-        chain_dep = runKind(chain_t, MachineConfig::clustered(8),
-                            PolicyKind::Dep);
-    });
-    work.push_back([&] {
-        chain_stall = runKind(chain_t, MachineConfig::clustered(8),
-                              PolicyKind::FocusedLocStall);
-    });
-    work.push_back([&] {
-        UnifiedSteering steer(UnifiedSteeringOptions{}, nullptr,
-                              nullptr);
-        AgeScheduling age;
-        SimResult ref = TimingSim(MachineConfig::monolithic(), conv_t,
-                                  steer, age).run();
-        ListSchedResult mono = listSchedule(
-            conv_t, ref.timing, MachineConfig::monolithic());
+    {
+        const double mono_cpi = runIdealCell(conv_t, mono, cfg).cpi();
         int idx = 0;
-        for (unsigned n : {2u, 4u, 8u}) {
-            ListSchedResult clus = listSchedule(
-                conv_t, ref.timing, MachineConfig::clustered(n));
-            conv_norm[idx++] = clus.cpi() / mono.cpi();
-        }
-    });
-    work.push_back([&] {
-        exit_mono = runKind(exit_t, MachineConfig::monolithic(),
-                            PolicyKind::FocusedLoc);
-    });
-    work.push_back([&] {
-        exit_dep = runKind(exit_t, MachineConfig::clustered(8),
-                           PolicyKind::Dep);
-    });
-    work.push_back([&] {
-        exit_full = runKind(exit_t, MachineConfig::clustered(8),
-                            PolicyKind::FocusedLocStallProactive);
-    });
-    for (std::size_t c = 0; c < 4; ++c) {
-        work.push_back([&, c] {
-            wide_mono[c] = runKind(wide_t[c],
-                                   MachineConfig::monolithic(),
-                                   PolicyKind::FocusedLoc);
-        });
-        work.push_back([&, c] {
-            wide_clus[c] = runKind(
-                wide_t[c], MachineConfig::clustered(8),
-                PolicyKind::FocusedLocStallProactive);
-        });
+        for (unsigned n : {2u, 4u, 8u})
+            conv_norm[idx++] =
+                runIdealCell(conv_t, MachineConfig::clustered(n), cfg)
+                    .cpi() /
+                mono_cpi;
     }
-
-    ctx.runner().parallelFor(work.size(),
-                             [&](std::size_t i) { work[i](); });
+    const AggregateResult exit_mono =
+        run(exit_t, mono, PolicyKind::FocusedLoc);
+    const AggregateResult exit_dep = run(exit_t, c8, PolicyKind::Dep);
+    const AggregateResult exit_full =
+        run(exit_t, c8, PolicyKind::FocusedLocStallProactive);
+    std::vector<AggregateResult> wide_mono, wide_clus;
+    for (const Trace &t : wide_t) {
+        wide_mono.push_back(run(t, mono, PolicyKind::FocusedLoc));
+        wide_clus.push_back(
+            run(t, c8, PolicyKind::FocusedLocStallProactive));
+    }
 
     // ---------------------------------------------------------- //
     std::printf("=== Fig. 9: a single dependence chain on 8x1w "
                 "===\n\n");
     std::printf("dependence steering:  CPI %.3f, critical fwd "
                 "cycles %llu\n",
-                chain_dep.sim.cpi(),
-                static_cast<unsigned long long>(
-                    chain_dep.breakdown[CpCategory::FwdDelay]));
+                chain_dep.cpi(),
+                static_cast<unsigned long long>(fwdCycles(chain_dep)));
     std::printf("+ stall-over-steer:   CPI %.3f, critical fwd "
                 "cycles %llu\n\n",
-                chain_stall.sim.cpi(),
+                chain_stall.cpi(),
                 static_cast<unsigned long long>(
-                    chain_stall.breakdown[CpCategory::FwdDelay]));
-    ctx.addScalar("fig9.depCpi", chain_dep.sim.cpi());
-    ctx.addScalar("fig9.stallCpi", chain_stall.sim.cpi());
+                    fwdCycles(chain_stall)));
+    ctx.addScalar("fig9.depCpi", chain_dep.cpi());
+    ctx.addScalar("fig9.stallCpi", chain_stall.cpi());
     ctx.addRunStats("serialChain/8x1w/dependence",
-                    chain_dep.sim.stats);
+                    chain_dep.stats);
     ctx.addRunStats("serialChain/8x1w/focused+loc+stall",
-                    chain_stall.sim.stats);
+                    chain_stall.stats);
     std::printf("Paper: load-balancing injects one forwarding "
                 "delay per window fill; stalling removes them "
                 "all (CPI -> the chain's 1.0 bound).\n\n");
@@ -169,21 +140,21 @@ main(int argc, char **argv)
     // ---------------------------------------------------------- //
     std::printf("=== Fig. 12/13: early-exit loop on 8x1w ===\n\n");
     std::printf("monolithic:           CPI %.3f\n",
-                exit_mono.sim.cpi());
+                exit_mono.cpi());
     std::printf("dependence steering:  CPI %.3f (%.1f%% "
                 "penalty)\n",
-                exit_dep.sim.cpi(),
-                100.0 * (exit_dep.sim.cpi() / exit_mono.sim.cpi() -
+                exit_dep.cpi(),
+                100.0 * (exit_dep.cpi() / exit_mono.cpi() -
                          1.0));
     std::printf("full policy stack:    CPI %.3f (%.1f%% "
                 "penalty)\n\n",
-                exit_full.sim.cpi(),
-                100.0 * (exit_full.sim.cpi() / exit_mono.sim.cpi() -
+                exit_full.cpi(),
+                100.0 * (exit_full.cpi() / exit_mono.cpi() -
                          1.0));
-    ctx.addScalar("fig12.monoCpi", exit_mono.sim.cpi());
-    ctx.addScalar("fig12.depCpi", exit_dep.sim.cpi());
-    ctx.addScalar("fig12.fullCpi", exit_full.sim.cpi());
-    ctx.addRunStats("earlyExit/8x1w/full", exit_full.sim.stats);
+    ctx.addScalar("fig12.monoCpi", exit_mono.cpi());
+    ctx.addScalar("fig12.depCpi", exit_dep.cpi());
+    ctx.addScalar("fig12.fullCpi", exit_full.cpi());
+    ctx.addRunStats("earlyExit/8x1w/full", exit_full.stats);
     std::printf("Paper: collocating only the first consumer "
                 "spreads the recurrence (Fig. 13a); keeping the "
                 "most critical consumer preserves the spine "
@@ -196,10 +167,10 @@ main(int argc, char **argv)
                 "8x1w CPI");
     for (std::size_t c = 0; c < 4; ++c) {
         std::printf("%8u  %10.3f  %12.3f\n", chainCounts[c],
-                    wide_mono[c].sim.cpi(), wide_clus[c].sim.cpi());
+                    wide_mono[c].cpi(), wide_clus[c].cpi());
         ctx.addScalar("wideIlp.chains" +
                           std::to_string(chainCounts[c]) + ".clusCpi",
-                      wide_clus[c].sim.cpi());
+                      wide_clus[c].cpi());
     }
     std::printf("\nPaper (Fig. 15 / Sec. 7): the clustered "
                 "machine suffers when the ready-instruction "

@@ -9,6 +9,7 @@
 #include "harness/trace_cache.hh"
 #include "obs/host_prof.hh"
 #include "trace/trace_store.hh"
+#include "policy/extra_steering.hh"
 #include "policy/scheduling.hh"
 #include "policy/steering.hh"
 #include "verify/oracle.hh"
@@ -28,6 +29,7 @@ policyName(PolicyKind kind)
       case PolicyKind::FocusedLocStall: return "focused+loc+stall";
       case PolicyKind::FocusedLocStallProactive:
         return "focused+loc+stall+proactive";
+      case PolicyKind::ActiveClusters: return "active-clusters";
       default:
         CSIM_PANIC("policyName: bad kind");
     }
@@ -95,6 +97,10 @@ makeStack(const Trace &trace, PolicyKind kind,
         break;
       case PolicyKind::LoadBal:
         s.steering = std::make_unique<LoadBalanceSteering>();
+        s.scheduling = std::make_unique<AgeScheduling>();
+        break;
+      case PolicyKind::ActiveClusters:
+        s.steering = std::make_unique<AdaptiveClusterSteering>();
         s.scheduling = std::make_unique<AgeScheduling>();
         break;
       case PolicyKind::Dep: {
@@ -541,7 +547,8 @@ runRegionSampledCell(const TraceSoA &soa, const MachineConfig &machine,
 
 AggregateResult
 runPolicyCell(const Trace &trace, const MachineConfig &machine,
-              PolicyKind kind, const ExperimentConfig &cfg)
+              PolicyKind kind, const ExperimentConfig &cfg,
+              const std::function<void(const PolicyRun &)> &inspect)
 {
     if (cfg.regions > 0)
         return runRegionSampledCell(trace.soa(), machine, kind, cfg);
@@ -555,6 +562,8 @@ runPolicyCell(const Trace &trace, const MachineConfig &machine,
         checkCellOracle(trace, machine, kind, cfg,
                         run.sim.instructions, run.sim.cycles);
     }
+    if (inspect)
+        inspect(run);
     AggregateResult agg =
         toAggregate(run.sim.instructions, run.sim.cycles,
                     run.breakdown, run.sim.globalValues,

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,9 @@ enum class PolicyKind
     FocusedLoc,      ///< + LoC-based scheduling          (Fig. 14 'l')
     FocusedLocStall, ///< + stall-over-steer              (Fig. 14 's')
     FocusedLocStallProactive, ///< + proactive load-bal.  (Fig. 14 'p')
+    /** Adaptive active-cluster count (Balasubramonian et al.), age
+     *  scheduling: the Sec. 5 cluster sweep's third row. */
+    ActiveClusters,
 };
 
 const char *policyName(PolicyKind kind);
@@ -260,11 +264,14 @@ PolicyRun runPolicy(const Trace &trace, const MachineConfig &machine,
  * One (workload, machine, policy, seed) cell measured on an
  * already-built trace: a runPolicy pass folded into AggregateResult
  * form. This is the unit of work the sweep runner parallelizes.
+ * `inspect`, when set, sees the full-trace run before its
+ * per-instruction timing is dropped; region-sampled cells
+ * (cfg.regions) never call it.
  */
-AggregateResult runPolicyCell(const Trace &trace,
-                              const MachineConfig &machine,
-                              PolicyKind kind,
-                              const ExperimentConfig &cfg);
+AggregateResult runPolicyCell(
+    const Trace &trace, const MachineConfig &machine, PolicyKind kind,
+    const ExperimentConfig &cfg,
+    const std::function<void(const PolicyRun &)> &inspect = {});
 
 /**
  * Region-sampled cell evaluation straight off a column view (e.g. an

@@ -60,6 +60,47 @@ priorityName(ListSchedOptions::Priority priority)
     }
 }
 
+/**
+ * Order-free parallel execution of fn(0..n-1) on `threads` workers;
+ * returns when all indices completed. Each index writes its own
+ * result slot and the caller merges in index order afterwards.
+ */
+void
+parallelFor(unsigned threads, std::size_t n,
+            const std::function<void(std::size_t)> &fn)
+{
+    const std::size_t workers = std::min<std::size_t>(threads, n);
+    if (workers <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+
+    // Atomic-counter work stealing: whichever worker is free claims
+    // the next index. Claim order is nondeterministic; determinism is
+    // the caller's job (each index writes only its own result slot).
+    // Workers adopt the spawning thread's host-prof scope path so the
+    // merged timer tree has the same shape as the inline execution.
+    const std::vector<std::string> prof_path = HostProf::currentPath();
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+        pool.emplace_back([&] {
+            HostProfPathAdopter prof_adopt(prof_path);
+            for (;;) {
+                const std::size_t i =
+                    next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= n)
+                    return;
+                fn(i);
+            }
+        });
+    }
+    for (std::thread &t : pool)
+        t.join();
+}
+
 } // anonymous namespace
 
 std::string
@@ -138,45 +179,8 @@ SweepRunner::defaultThreads()
     return hw ? hw : 1;
 }
 
-void
-SweepRunner::parallelFor(std::size_t n,
-                         const std::function<void(std::size_t)> &fn)
-{
-    const std::size_t workers =
-        std::min<std::size_t>(threads_, n);
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    // Atomic-counter work stealing: whichever worker is free claims
-    // the next index. Claim order is nondeterministic; determinism is
-    // the caller's job (each index writes only its own result slot).
-    // Workers adopt the spawning thread's host-prof scope path so the
-    // merged timer tree has the same shape as the inline execution.
-    const std::vector<std::string> prof_path = HostProf::currentPath();
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&] {
-            HostProfPathAdopter prof_adopt(prof_path);
-            for (;;) {
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n)
-                    return;
-                fn(i);
-            }
-        });
-    }
-    for (std::thread &t : pool)
-        t.join();
-}
-
 SweepOutcome
-SweepRunner::run(const SweepSpec &spec)
+SweepRunner::run(const SweepSpec &spec, const RunHook &onRun)
 {
     HOST_PROF_SCOPE("sweep.run");
     const auto start = std::chrono::steady_clock::now();
@@ -184,15 +188,13 @@ SweepRunner::run(const SweepSpec &spec)
     // Expand cells into independent (cell, seed) jobs, cell-major with
     // seeds in declaration order — the same order the sequential
     // aggregation loop visits them.
-    struct Job
-    {
-        std::size_t cell;
-        std::uint64_t seed;
-    };
-    std::vector<Job> jobs;
-    for (std::size_t c = 0; c < spec.cells.size(); ++c)
-        for (std::uint64_t seed : spec.cellConfig(c).seeds)
-            jobs.push_back(Job{c, seed});
+    std::vector<SweepJob> jobs;
+    for (std::size_t c = 0; c < spec.cells.size(); ++c) {
+        const std::vector<std::uint64_t> &seeds =
+            spec.cellConfig(c).seeds;
+        for (std::size_t s = 0; s < seeds.size(); ++s)
+            jobs.push_back(SweepJob{c, s, seeds[s]});
+    }
 
     const std::uint64_t sweepIdx =
         ledger_ ? ledger_->nextSweepIndex() : 0;
@@ -206,8 +208,8 @@ SweepRunner::run(const SweepSpec &spec)
     std::vector<AggregateResult> jobResults(jobs.size());
     {
         HOST_PROF_SCOPE("sweep.jobs");
-        parallelFor(jobs.size(), [&](std::size_t i) {
-            const Job &job = jobs[i];
+        parallelFor(threads_, jobs.size(), [&](std::size_t i) {
+            const SweepJob &job = jobs[i];
             const SweepCell &cell = spec.cells[job.cell];
             const ExperimentConfig &cfg = spec.cellConfig(job.cell);
             const std::string label = cell.label();
@@ -229,10 +231,15 @@ SweepRunner::run(const SweepSpec &spec)
             std::shared_ptr<const Trace> trace =
                 cache().get(cell.workload, wcfg);
 
+            std::function<void(const PolicyRun &)> inspect;
+            if (onRun)
+                inspect = [&](const PolicyRun &run) {
+                    onRun(job, *trace, run);
+                };
             jobResults[i] =
                 cell.mode == CellMode::Timing
                     ? runPolicyCell(*trace, cell.machine, cell.policy,
-                                    cfg)
+                                    cfg, inspect)
                     : runIdealCell(*trace, cell.machine, cfg,
                                    cell.priority);
 

@@ -105,6 +105,29 @@ struct SweepSpec
     const ExperimentConfig &cellConfig(std::size_t i) const;
 };
 
+/** One (cell, seed) job of a sweep. */
+struct SweepJob
+{
+    std::size_t cell = 0;
+    /** Position of `seed` in the cell's seed list. */
+    std::size_t seedIndex = 0;
+    std::uint64_t seed = 0;
+};
+
+/**
+ * Sees one timing job's measured run on the worker thread, before its
+ * per-instruction timing is dropped: the home of analyses that read
+ * that timing (Fig. 8's LoC spectrum, Sec. 6's consumers, the slack
+ * table, Fig. 15's ILP capture). Called once per full-trace timing
+ * job; never for ideal or region-sampled jobs. Jobs run concurrently,
+ * so a hook writes only state owned by its (cell, seedIndex), and the
+ * caller folds those slots in declaration order after run() returns,
+ * which keeps the result thread-count invariant.
+ */
+using RunHook = std::function<void(const SweepJob &job,
+                                   const Trace &trace,
+                                   const PolicyRun &run)>;
+
 /** Per-cell results, keyed by declaration index. */
 struct SweepOutcome
 {
@@ -146,19 +169,9 @@ class SweepRunner
      */
     void setLedger(RunLedger *ledger) { ledger_ = ledger; }
 
-    /** Execute every (cell, seed) job and merge deterministically. */
-    SweepOutcome run(const SweepSpec &spec);
-
-    /**
-     * Order-free parallel execution of fn(0..n-1) on the worker pool;
-     * returns when all indices completed. The building block for
-     * benches whose per-cell work is not an AggregateResult (ILP
-     * capture, ground-truth criticality, consumer analysis): each
-     * index writes its own result slot, the caller merges in index
-     * order afterwards, and determinism follows as for run().
-     */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &fn);
+    /** Execute every (cell, seed) job and merge deterministically;
+     *  `onRun`, when set, sees each timing job's measured run. */
+    SweepOutcome run(const SweepSpec &spec, const RunHook &onRun = {});
 
   private:
     unsigned threads_;

@@ -11,11 +11,11 @@
  * thread-safe: concurrent requests for a trace that is still being
  * built block on the in-flight build instead of duplicating it.
  *
- * An optional byte budget evicts least-recently-used entries; evicted
- * traces stay alive for as long as any cell still holds its
- * shared_ptr. Cache activity (builds, hits, evictions, bytes held) is
- * reported through a StatsRegistry so bench JSON reports can show how
- * much redundant work the cache removed.
+ * Entries live until clear() or the cache's destruction: a sweep's
+ * traces are few and reused across its cells, so nothing is evicted.
+ * Cache activity (builds, hits, bytes held) is reported through a
+ * StatsRegistry so bench JSON reports can show how much redundant work
+ * the cache removed.
  *
  * Host-side latency (wall time spent building entries, waiting for the
  * cache lock, or blocking on another thread's in-flight build) lives in
@@ -45,20 +45,7 @@ namespace csim {
 class TraceCache
 {
   public:
-    /**
-     * @param capacity_bytes LRU byte budget; 0 means unlimited.
-     * @param spill_dir When non-empty, entries evicted by the byte
-     *        budget are written to this directory as columnar trace
-     *        stores (one file per cache key, named by a content hash
-     *        of the key) instead of being discarded. A later miss on
-     *        a spilled key mmaps the store back instead of re-running
-     *        the whole build pipeline — the trace-build passes are
-     *        deterministic, so the rehydrated trace is bit-identical.
-     *        The directory must exist and files left in it belong to
-     *        the caller (a temp dir in the bench binaries).
-     */
-    explicit TraceCache(std::size_t capacity_bytes = 0,
-                        std::string spill_dir = "");
+    TraceCache();
 
     TraceCache(const TraceCache &) = delete;
     TraceCache &operator=(const TraceCache &) = delete;
@@ -79,7 +66,6 @@ class TraceCache
     std::uint64_t requests() const;
     std::uint64_t builds() const;
     std::uint64_t hits() const;
-    std::uint64_t evictions() const;
     std::size_t bytesHeld() const;
     std::size_t entries() const;
 
@@ -91,9 +77,8 @@ class TraceCache
     StatsSnapshot timeSnapshot() const;
 
     /**
-     * Content identity of every trace this cache has seen (held or
-     * spilled), as key-sorted (cacheKey, fnv1a64 hex) pairs — the same
-     * FNV-1a digest the spill files are named by. The key encodes every
+     * Content identity of every trace this cache holds, as key-sorted
+     * (cacheKey, fnv1a64 hex) pairs. The key encodes every
      * deterministic build input, so the hash commits to the trace
      * content; provenance manifests embed this list.
      */
@@ -104,31 +89,12 @@ class TraceCache
     struct Slot
     {
         std::shared_future<std::shared_ptr<const Trace>> future;
-        /** Trace::footprintBytes(); known once the build finished. */
-        std::size_t bytes = 0;
+        /** Set once the build finished. */
         bool ready = false;
-        std::uint64_t lastUse = 0;
     };
-
-    /** Evict ready LRU entries beyond the byte budget (lock held).
-     *  The entry named by protect_key is never evicted. */
-    void evictLocked(const std::string &protect_key);
-
-    const std::size_t capacityBytes_;
-    const std::string spillDir_;
-
-    /** A spilled entry: its store file and the in-memory footprint it
-     *  had (the rehydrated size, for the byte budget on reload). */
-    struct SpillEntry
-    {
-        std::string path;
-        std::size_t fileBytes = 0;
-    };
-    std::unordered_map<std::string, SpillEntry> spilled_;
 
     mutable std::mutex mutex_;
     std::unordered_map<std::string, Slot> slots_;
-    std::uint64_t tick_ = 0;
     std::size_t bytesHeld_ = 0;
     std::size_t peakBytes_ = 0;
 
@@ -136,13 +102,7 @@ class TraceCache
     Counter *statRequests_ = nullptr;
     Counter *statBuilds_ = nullptr;
     Counter *statHits_ = nullptr;
-    Counter *statEvictions_ = nullptr;
     Counter *statBytesBuilt_ = nullptr;
-    Counter *statBytesEvicted_ = nullptr;
-    Counter *statSpillWrites_ = nullptr;
-    Counter *statSpillBytes_ = nullptr;
-    Counter *statMmapLoads_ = nullptr;
-    Counter *statMmapBytes_ = nullptr;
 
     StatsRegistry timeRegistry_;
     Counter *statBuildNs_ = nullptr;

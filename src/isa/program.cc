@@ -139,11 +139,11 @@ Program::disassemble() const
         const Instruction &inst = instrs_[i];
         out << i << ":\t" << opName(inst.op);
         auto reg = [](RegIndex x) {
-            std::string s;
-            if (x >= numIntRegs)
-                s = "f" + std::to_string(x - numIntRegs);
-            else
-                s = "r" + std::to_string(x);
+            // Appending to a one-char string, not `"f" + to_string`:
+            // GCC 12 at -O3 flags the latter with a false -Wrestrict.
+            const bool fp = x >= numIntRegs;
+            std::string s(1, fp ? 'f' : 'r');
+            s += std::to_string(fp ? x - numIntRegs : x);
             return s;
         };
         switch (inst.op) {

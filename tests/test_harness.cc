@@ -8,6 +8,8 @@
 #include "core/machine_config.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "policy/extra_steering.hh"
+#include "policy/scheduling.hh"
 
 namespace csim {
 namespace {
@@ -62,8 +64,30 @@ TEST(Harness, PolicyNamesExist)
          {PolicyKind::ModN, PolicyKind::LoadBal, PolicyKind::Dep,
           PolicyKind::Focused, PolicyKind::FocusedLoc,
           PolicyKind::FocusedLocStall,
-          PolicyKind::FocusedLocStallProactive}) {
+          PolicyKind::FocusedLocStallProactive,
+          PolicyKind::ActiveClusters}) {
         EXPECT_NE(policyName(k), nullptr);
+    }
+}
+
+TEST(Harness, ActiveClustersIsAdaptiveClusterSteeringUnwarmed)
+{
+    // The cluster sweep's third row: the bare steering policy with age
+    // scheduling and no predictor warmup, so the harness run must
+    // match a plain TimingSim run cycle for cycle.
+    WorkloadConfig wcfg;
+    wcfg.targetInstructions = 6000;
+    wcfg.seed = 1;
+    const Trace trace = buildAnnotatedTrace("mcf", wcfg);
+    for (unsigned n : {2u, 16u}) {
+        const MachineConfig mc = MachineConfig::generic(n, 1);
+        AdaptiveClusterSteering steer;
+        AgeScheduling age;
+        const SimResult bare = TimingSim(mc, trace, steer, age).run();
+        const PolicyRun run = runPolicy(
+            trace, mc, PolicyKind::ActiveClusters, ExperimentConfig{});
+        EXPECT_EQ(run.sim.cycles, bare.cycles) << mc.name();
+        EXPECT_EQ(run.sim.instructions, bare.instructions);
     }
 }
 

@@ -1,24 +1,28 @@
 #!/usr/bin/env python3
-"""Diff the committed golden stats digests against a fresh build.
+"""Diff the committed golden values and stdout against a fresh build.
 
 tests/golden/digests.json pins, per bench invocation at smoke scale, the
 run ledger's per-job FNV-1a ``statsDigest`` and ``cycles`` (one
 ``jobEnd`` event per (sweep, cell, seed)) as "<digest> cycles=<n>".
 The cycles ride along because an ideal cell's stats are its 1x8w
 reference run's, so its digest alone does not see the list schedule.
-Any silent drift in simulated behaviour changes at least one pinned
-value. This script re-runs every invocation in ``BENCHES`` with
-``--ledger-out``, collects the jobEnd values and reports every job
-whose value changed, appeared or vanished.
+Beside it, tests/golden/<invocation>.txt pins each invocation's whole
+stdout: the normalization, averages, tables and post-run analyses that
+no job value covers. Any silent drift in simulated behaviour or in the
+printed arithmetic changes at least one pinned value or line. This
+script re-runs every invocation in ``BENCHES`` with ``--ledger-out``,
+reports every job whose value changed, appeared or vanished, and prints
+a unified diff of every stdout that moved.
 
     python3 tools/check_golden.py --bench-dir build/bench
 
-Exit status: 0 when every digest matches, 1 on any drift, 2 on a
-usage or environment error. A deliberate behaviour change is
-recorded with tools/update_golden.py, which demands a reason.
+Exit status: 0 when everything matches, 1 on any drift, 2 on a usage or
+environment error. A deliberate change is recorded with
+tools/update_golden.py, which demands a reason.
 """
 
 import argparse
+import difflib
 import json
 import os
 import subprocess
@@ -26,13 +30,15 @@ import sys
 import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-MANIFEST = os.path.join(REPO, "tests", "golden", "digests.json")
+GOLDEN_DIR = os.path.join(REPO, "tests", "golden")
+MANIFEST = os.path.join(GOLDEN_DIR, "digests.json")
 
-# Every bench runs at this scale. The digests are thread-count
-# invariant, so the two worker threads only save wall time. Each entry
-# is one invocation, keyed by its bench and extra args, so a bench can
-# be pinned under several flag sets (bench_fig4_focused: checked and
-# profiled).
+# Every bench runs at this scale. Job values and stdout are
+# thread-count invariant, so the two worker threads only save wall
+# time. Each entry is one invocation, keyed by its bench and extra
+# args, so a bench can be pinned under several flag sets
+# (bench_fig4_focused: checked and profiled). Benches that run no
+# sweep (bench_table1_config, bench_paper_examples) pin stdout only.
 COMMON_ARGS = ["--instructions", "4000", "--seeds", "1,2"]
 BENCHES = [
     "bench_fig14_policies",
@@ -44,7 +50,12 @@ BENCHES = [
     "bench_global_traffic --check",
     "bench_latency_sweep --check",
     "bench_sec4_loc_ideal --check",
+    "bench_paper_examples --check",
+    "bench_table1_config",
 ]
+
+# Lines of one stdout diff shown on a failure.
+DIFF_LINES = 80
 
 
 def fail(msg):
@@ -52,14 +63,20 @@ def fail(msg):
     sys.exit(2)
 
 
+def stdout_path(entry):
+    """tests/golden/<bench>[_<flag>...].txt for one BENCHES entry."""
+    name = "_".join(arg.lstrip("-") for arg in entry.split())
+    return os.path.join(GOLDEN_DIR, name + ".txt")
+
+
 def pinned(digest, cycles):
     """The manifest value of one jobEnd."""
     return f"{digest} cycles={cycles}"
 
 
-def bench_digests(bench_dir, entry):
-    """{"sweep:cell:seed": "<statsDigest> cycles=<n>"} for one BENCHES
-    entry."""
+def run_bench(bench_dir, entry):
+    """({"sweep:cell:seed": "<statsDigest> cycles=<n>"}, stdout) for
+    one BENCHES entry."""
     name, *extra_args = entry.split()
     exe = os.path.join(bench_dir, name)
     if not os.access(exe, os.X_OK):
@@ -68,8 +85,8 @@ def bench_digests(bench_dir, entry):
         ledger = os.path.join(tmp, "run.ledger")
         cmd = [exe, *COMMON_ARGS, *extra_args, "--threads", "2",
                "--ledger-out", ledger]
-        proc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, encoding="utf-8")
         if proc.returncode != 0:
             fail(f"{' '.join(cmd)} exited {proc.returncode}:\n"
                  f"{proc.stderr.strip()}")
@@ -83,8 +100,6 @@ def bench_digests(bench_dir, entry):
                 key = f"{p['sweep']}:{p['cell']}:{p['seed']}"
                 by_key.setdefault(key, []).append(
                     (p["statsDigest"], p["cycles"]))
-    if not by_key:
-        fail(f"{entry}: ledger holds no jobEnd events")
     # Some sweeps repeat a label across cells that differ only in a
     # knob the label does not show (an ablation setting, a forwarding
     # latency). Their jobs finish in thread order, so their values are
@@ -96,22 +111,31 @@ def bench_digests(bench_dir, entry):
         else:
             for k, value in enumerate(sorted(values)):
                 digests[f"{key}#{k}"] = pinned(*value)
-    return dict(sorted(digests.items()))
+    return dict(sorted(digests.items())), proc.stdout
 
 
 def collect(bench_dir):
-    """The manifest a fresh run of every golden bench produces."""
-    return {
-        "commonArgs": COMMON_ARGS,
-        "benches": {
-            entry: {"jobs": bench_digests(bench_dir, entry)}
-            for entry in BENCHES
-        },
-    }
+    """(manifest, {entry: stdout}) from a fresh run of every golden
+    bench."""
+    manifest = {"commonArgs": COMMON_ARGS, "benches": {}}
+    texts = {}
+    for entry in BENCHES:
+        jobs, texts[entry] = run_bench(bench_dir, entry)
+        manifest["benches"][entry] = {"jobs": jobs}
+    return manifest, texts
 
 
-def diff(golden, fresh):
-    """Human-readable mismatch lines (empty when identical)."""
+def read_text(entry):
+    """The committed stdout of one entry (None when absent)."""
+    try:
+        with open(stdout_path(entry), encoding="utf-8") as f:
+            return f.read()
+    except OSError:
+        return None
+
+
+def diff_jobs(golden, fresh):
+    """One line per job value that changed, appeared or vanished."""
     out = []
     if golden.get("commonArgs") != fresh["commonArgs"]:
         out.append(f"common args {golden.get('commonArgs')} != "
@@ -134,6 +158,21 @@ def diff(golden, fresh):
     return out
 
 
+def diff_texts(texts):
+    """{entry: unified diff lines} for every stdout that moved."""
+    out = {}
+    for entry, got in texts.items():
+        path = os.path.relpath(stdout_path(entry), REPO)
+        want = read_text(entry)
+        if want is None:
+            out[entry] = [f"no pinned stdout at {path}"]
+        elif want != got:
+            out[entry] = list(difflib.unified_diff(
+                want.splitlines(), got.splitlines(), path,
+                "this run", lineterm=""))
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--bench-dir", required=True,
@@ -146,17 +185,27 @@ def main():
     except (OSError, ValueError) as e:
         fail(f"cannot read manifest {MANIFEST}: {e}")
 
-    mismatches = diff(golden, collect(args.bench_dir))
+    fresh, texts = collect(args.bench_dir)
+    text_diffs = diff_texts(texts)
+    for entry, lines in text_diffs.items():
+        print(f"{entry}: stdout differs", file=sys.stderr)
+        for line in lines[:DIFF_LINES]:
+            print(f"  {line}", file=sys.stderr)
+        if len(lines) > DIFF_LINES:
+            print(f"  ... {len(lines) - DIFF_LINES} more diff lines",
+                  file=sys.stderr)
+    mismatches = diff_jobs(golden, fresh)
     if mismatches:
         print(f"{len(mismatches)} golden digest mismatch(es):",
               file=sys.stderr)
         for line in mismatches[:40]:
             print(f"  {line}", file=sys.stderr)
+    if mismatches or text_diffs:
         print("If the change is deliberate, run tools/update_golden.py "
               "--reason '...'", file=sys.stderr)
         return 1
     jobs = sum(len(b["jobs"]) for b in golden["benches"].values())
-    print(f"golden digests match ({jobs} jobs over "
+    print(f"golden digests and stdout match ({jobs} jobs over "
           f"{len(golden['benches'])} bench runs)")
     return 0
 

@@ -116,6 +116,7 @@ const PolicyKind fuzzPolicies[] = {
     PolicyKind::FocusedLoc,
     PolicyKind::FocusedLocStall,
     PolicyKind::FocusedLocStallProactive,
+    PolicyKind::ActiveClusters,
 };
 
 void
@@ -353,7 +354,8 @@ runCase(std::uint64_t seed, const FuzzArgs &args)
     Rng rng(seed);
     const MachineConfig config = randomMachineConfig(rng);
     const Trace trace = randomTrace(rng, args.instructions);
-    const PolicyKind kind = fuzzPolicies[rng.below(7)];
+    const PolicyKind kind =
+        fuzzPolicies[rng.below(std::size(fuzzPolicies))];
 
     ExperimentConfig cfg;
     cfg.instructions = args.instructions;

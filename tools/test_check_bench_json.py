@@ -75,6 +75,30 @@ class CheckBenchJsonTest(unittest.TestCase):
         proc = self.check_report(minimal_report(provenance=False))
         self.assertCleanFailure(proc, "'provenance'")
 
+    def with_cache_entry(self, names):
+        d = minimal_report()
+        d["runs"][0]["stats"].update(
+            {f"sim.stat{k}": k for k in range(8)})
+        d["runs"].append({"label": "traceCache",
+                          "stats": {n: 1 for n in names}})
+        return d
+
+    def test_trace_cache_entry_is_exempt_from_min_stats(self):
+        names = ["traceCache.requests", "traceCache.builds",
+                 "traceCache.hits"]
+        proc = self.check_report(self.with_cache_entry(names),
+                                 "--min-stats", "10")
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_trace_cache_entry_holds_only_cache_stats(self):
+        proc = self.check_report(
+            self.with_cache_entry(["traceCache.hits", "sim.cycles"]))
+        self.assertCleanFailure(proc, "'sim.cycles' is not a traceCache")
+
+    def test_simulated_run_below_min_stats_fails(self):
+        proc = self.check_report(minimal_report(), "--min-stats", "10")
+        self.assertCleanFailure(proc, "only 2 stats, expected >= 10")
+
 
 if __name__ == "__main__":
     unittest.main()

@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Regenerate tests/golden/digests.json from a fresh build.
+"""Regenerate the golden manifest and stdout from a fresh build.
 
     python3 tools/update_golden.py --bench-dir build/bench \\
-        --reason "why the simulated behaviour changed"
+        --reason "why the simulated behaviour or printed output changed"
 
-A digest change means the simulator's output changed, so the update
+Writes tests/golden/digests.json and one tests/golden/<invocation>.txt
+per golden bench, and deletes the .txt of an invocation no longer
+checked. A change means the simulator's output changed, so the update
 must say why: ``--reason`` is mandatory and is appended to CHANGES.md
-next to the regenerated manifest.
+next to the regenerated files.
 """
 
 import argparse
+import glob
 import json
 import os
 import sys
 
-from check_golden import MANIFEST, REPO, collect, diff
+from check_golden import (GOLDEN_DIR, MANIFEST, REPO, collect,
+                          diff_jobs, diff_texts, stdout_path)
 
 
 def main():
@@ -22,29 +26,40 @@ def main():
     ap.add_argument("--bench-dir", required=True,
                     help="directory holding the built bench_* binaries")
     ap.add_argument("--reason", required=True,
-                    help="why the digests change (goes to CHANGES.md)")
+                    help="why the golden values change (goes to "
+                         "CHANGES.md)")
     args = ap.parse_args()
     reason = " ".join(args.reason.split())
     if not reason:
         ap.error("--reason must not be blank")
 
-    fresh = collect(args.bench_dir)
+    fresh, texts = collect(args.bench_dir)
+    wanted = {stdout_path(entry) for entry in texts}
+    stale = set(glob.glob(os.path.join(GOLDEN_DIR, "*.txt"))) - wanted
     if os.path.exists(MANIFEST):
         with open(MANIFEST) as f:
-            changed = diff(json.load(f), fresh)
-        if not changed:
-            print("golden digests already up to date; nothing written")
+            changed = diff_jobs(json.load(f), fresh)
+        moved = diff_texts(texts)
+        if not changed and not moved and not stale:
+            print("golden digests and stdout already up to date; "
+                  "nothing written")
             return 0
-        print(f"{len(changed)} digest change(s)")
+        print(f"{len(changed)} digest change(s), {len(moved)} stdout "
+              f"change(s), {len(stale)} stale stdout file(s)")
 
-    os.makedirs(os.path.dirname(MANIFEST), exist_ok=True)
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
     with open(MANIFEST, "w") as f:
         json.dump(fresh, f, indent=2)
         f.write("\n")
+    for entry, text in texts.items():
+        with open(stdout_path(entry), "w", encoding="utf-8") as f:
+            f.write(text)
+    for path in stale:
+        os.remove(path)
     with open(os.path.join(REPO, "CHANGES.md"), "a") as f:
-        f.write(f"- Golden digests regenerated "
-                f"(tests/golden/digests.json): {reason}\n")
-    print(f"wrote {os.path.relpath(MANIFEST, REPO)}")
+        f.write(f"- Golden digests and stdout regenerated "
+                f"(tests/golden/): {reason}\n")
+    print(f"wrote {os.path.relpath(GOLDEN_DIR, REPO)}/")
     return 0
 
 
