@@ -1,5 +1,6 @@
 #include "harness/json_report.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -233,8 +234,15 @@ parseSeedList(const std::string &arg)
         std::size_t comma = arg.find(',', pos);
         if (comma == std::string::npos)
             comma = arg.size();
-        seeds.push_back(parseDecimal(arg.substr(pos, comma - pos),
-                                     "--seeds", 0, UINT64_MAX));
+        const std::uint64_t seed = parseDecimal(
+            arg.substr(pos, comma - pos), "--seeds", 0, UINT64_MAX);
+        // A repeated seed would run each cell's job for that seed
+        // again and count it twice in the cell's aggregate.
+        if (std::find(seeds.begin(), seeds.end(), seed) != seeds.end())
+            CSIM_FATAL_F("bad --seeds '%s': seed %llu is listed twice",
+                         arg.c_str(),
+                         static_cast<unsigned long long>(seed));
+        seeds.push_back(seed);
         pos = comma + 1;
     }
     return seeds;

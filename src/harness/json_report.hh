@@ -5,7 +5,7 @@
  * JsonWriter is a tiny streaming JSON emitter (no external deps);
  * BenchContext is the shared command-line front end of every bench
  * binary: it parses `--json <path>`, `--instructions N`,
- * `--seeds a,b,c`, `--threads N`, `--check`, `--profile`,
+ * `--seeds a,b,c` (distinct), `--threads N`, `--check`, `--profile`,
  * `--profile-interval N`, `--adaptive`, `--adaptive-interval N`,
  * `--trace-out <path>`, `--ledger-out <path>`, `--heartbeat-ms N`,
  * `--stats-filter p1,p2` and `--regions K --region-len N

@@ -6,6 +6,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -62,8 +64,10 @@ priorityName(ListSchedOptions::Priority priority)
 
 /**
  * Order-free parallel execution of fn(0..n-1) on `threads` workers;
- * returns when all indices completed. Each index writes its own
- * result slot and the caller merges in index order afterwards.
+ * returns when all indices completed. Workers claim indices in
+ * increasing order but finish them in any order; fn makes its own
+ * effects order-free (SweepRunner::run folds each job into its cell
+ * in seed order).
  */
 void
 parallelFor(unsigned threads, std::size_t n,
@@ -77,8 +81,8 @@ parallelFor(unsigned threads, std::size_t n,
     }
 
     // Atomic-counter work stealing: whichever worker is free claims
-    // the next index. Claim order is nondeterministic; determinism is
-    // the caller's job (each index writes only its own result slot).
+    // the next index. Which worker runs an index, and when it ends,
+    // is nondeterministic; determinism is the caller's job.
     // Workers adopt the spawning thread's host-prof scope path so the
     // merged timer tree has the same shape as the inline execution.
     const std::vector<std::string> prof_path = HostProf::currentPath();
@@ -205,7 +209,43 @@ SweepRunner::run(const SweepSpec &spec, const RunHook &onRun)
                             threads_);
     }
 
-    std::vector<AggregateResult> jobResults(jobs.size());
+    SweepOutcome out;
+    out.cells = spec.cells;
+    out.results.resize(spec.cells.size());
+    out.threads = threads_;
+
+    // Each job folds into its cell as soon as the cell's earlier seeds
+    // have: a cell still merges its seeds in declaration order, the
+    // exact merge sequence of the sequential path (floating-point
+    // accumulation included), so the outcome is bit-identical at any
+    // thread count. A job that lands before an earlier seed of its
+    // cell parks here, keyed by job index, until that seed folds.
+    // foldMutex guards out.results, seedsFolded and parked.
+    std::mutex foldMutex;
+    std::vector<std::size_t> seedsFolded(spec.cells.size(), 0);
+    std::map<std::size_t, AggregateResult> parked;
+    const auto fold = [&](std::size_t i, AggregateResult &&res) {
+        const SweepJob &job = jobs[i];
+        std::lock_guard<std::mutex> lock(foldMutex);
+        std::size_t &folded = seedsFolded[job.cell];
+        if (job.seedIndex != folded) {
+            parked.emplace(i, std::move(res));
+            return;
+        }
+        AggregateResult &cell = out.results[job.cell];
+        cell.merge(res);
+        ++folded;
+        // A parked job's predecessor is in its own cell (a cell's
+        // first seed never parks), so job i + 1, when parked, is this
+        // cell's next seed.
+        for (auto next = parked.find(++i); next != parked.end();
+             next = parked.find(++i)) {
+            cell.merge(next->second);
+            parked.erase(next);
+            ++folded;
+        }
+    };
+
     {
         HOST_PROF_SCOPE("sweep.jobs");
         parallelFor(threads_, jobs.size(), [&](std::size_t i) {
@@ -236,15 +276,16 @@ SweepRunner::run(const SweepSpec &spec, const RunHook &onRun)
                 inspect = [&](const PolicyRun &run) {
                     onRun(job, *trace, run);
                 };
-            jobResults[i] =
+            AggregateResult res =
                 cell.mode == CellMode::Timing
                     ? runPolicyCell(*trace, cell.machine, cell.policy,
                                     cfg, inspect)
                     : runIdealCell(*trace, cell.machine, cfg,
                                    cell.priority);
 
+            // jobEnd carries this job's own result, so it goes out
+            // before the fold merges that result away.
             if (ledger_) {
-                const AggregateResult &res = jobResults[i];
                 ledger_->progress().jobsDone.fetch_add(
                     1, std::memory_order_relaxed);
                 ledger_->progress().instructionsDone.fetch_add(
@@ -253,21 +294,10 @@ SweepRunner::run(const SweepSpec &spec, const RunHook &onRun)
                                 res.instructions, res.cycles,
                                 statsDigest(res.stats));
             }
+            fold(i, std::move(res));
         });
     }
-
-    // Merge per-seed results in job (= cell-major, seed) order: this
-    // replays the exact merge sequence of the sequential path, so the
-    // outcome is bit-identical regardless of thread count.
-    SweepOutcome out;
-    out.cells = spec.cells;
-    out.results.resize(spec.cells.size());
-    out.threads = threads_;
-    {
-        HOST_PROF_SCOPE("sweep.merge");
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            out.results[jobs[i].cell].merge(jobResults[i]);
-    }
+    CSIM_ASSERT(parked.empty());
 
     // cellEnd events are emitted from this single-threaded loop, so
     // unlike the concurrent jobBegin/jobEnd stream their file order is

@@ -7,10 +7,13 @@
  * expands them into independent (cell, seed) jobs, executes the jobs
  * on a std::thread worker pool, fetches each job's annotated trace
  * from a shared TraceCache (built once per (workload, seed, ...) key),
- * and merges per-seed results back into per-cell AggregateResults in
- * declaration/seed order. Because each job is deterministic and the
- * merge order is fixed, a run with N worker threads is bit-identical
- * to the 1-thread (and the old hand-rolled sequential) path.
+ * and folds each job's result into its cell's AggregateResult as soon
+ * as the cell's earlier seeds have folded, so every cell merges its
+ * seeds in declaration order and only the cells' aggregates (plus the
+ * few results that landed early) are held. Because each job is
+ * deterministic and the merge order is fixed, a run with N worker
+ * threads is bit-identical to the 1-thread (and the old hand-rolled
+ * sequential) path.
  *
  * Thread count: explicit argument > CSIM_THREADS environment variable
  * > std::thread::hardware_concurrency(). A malformed CSIM_THREADS

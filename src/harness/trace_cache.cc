@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/fnv.hh"
-#include "common/logging.hh"
 #include "obs/host_prof.hh"
 
 namespace csim {
@@ -44,18 +43,11 @@ TraceCache::TraceCache()
         "traceCache.builds", "annotated traces built");
     statHits_ = &registry_.addCounter(
         "traceCache.hits", "lookups served from the cache");
-    statBytesBuilt_ = &registry_.addCounter(
-        "traceCache.bytesBuilt", "total bytes of traces built");
     registry_.addFormula(
         "traceCache.bytesHeld", [this] {
             return static_cast<double>(bytesHeld_);
         },
         "bytes currently held");
-    registry_.addFormula(
-        "traceCache.peakBytes", [this] {
-            return static_cast<double>(peakBytes_);
-        },
-        "high-water mark of bytes held");
     registry_.addFormula(
         "traceCache.entriesHeld", [this] {
             return static_cast<double>(slots_.size());
@@ -140,22 +132,9 @@ TraceCache::get(const std::string &workload, const WorkloadConfig &cfg,
         *statLockWaitNs_ += wallNs() - lock_start;
         *statBuildNs_ += build_ns;
         slots_.at(key).ready = true;
-        const std::size_t bytes = trace->footprintBytes();
-        bytesHeld_ += bytes;
-        peakBytes_ = std::max(peakBytes_, bytesHeld_);
-        *statBytesBuilt_ += bytes;
+        bytesHeld_ += trace->footprintBytes();
     }
     return trace;
-}
-
-void
-TraceCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[key, slot] : slots_)
-        CSIM_ASSERT(slot.ready);
-    slots_.clear();
-    bytesHeld_ = 0;
 }
 
 std::uint64_t

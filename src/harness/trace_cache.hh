@@ -11,11 +11,11 @@
  * thread-safe: concurrent requests for a trace that is still being
  * built block on the in-flight build instead of duplicating it.
  *
- * Entries live until clear() or the cache's destruction: a sweep's
- * traces are few and reused across its cells, so nothing is evicted.
- * Cache activity (builds, hits, bytes held) is reported through a
- * StatsRegistry so bench JSON reports can show how much redundant work
- * the cache removed.
+ * Entries live until the cache is destroyed: a sweep's traces are few
+ * and reused across its cells, so nothing is evicted. Cache activity
+ * (builds, hits, bytes held) is reported through a StatsRegistry so
+ * bench JSON reports can show how much redundant work the cache
+ * removed.
  *
  * Host-side latency (wall time spent building entries, waiting for the
  * cache lock, or blocking on another thread's in-flight build) lives in
@@ -59,10 +59,7 @@ class TraceCache
         const MemoryModelConfig &mem = MemoryModelConfig{},
         unsigned gshare_bits = 16);
 
-    /** Drop every cached entry (in-flight builds must have finished). */
-    void clear();
-
-    // Activity counters (all monotonic except bytesHeld/entries).
+    // Activity counters (all monotonic).
     std::uint64_t requests() const;
     std::uint64_t builds() const;
     std::uint64_t hits() const;
@@ -96,13 +93,11 @@ class TraceCache
     mutable std::mutex mutex_;
     std::unordered_map<std::string, Slot> slots_;
     std::size_t bytesHeld_ = 0;
-    std::size_t peakBytes_ = 0;
 
     StatsRegistry registry_;
     Counter *statRequests_ = nullptr;
     Counter *statBuilds_ = nullptr;
     Counter *statHits_ = nullptr;
-    Counter *statBytesBuilt_ = nullptr;
 
     StatsRegistry timeRegistry_;
     Counter *statBuildNs_ = nullptr;

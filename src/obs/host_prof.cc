@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #if defined(__linux__)
 #include <sys/resource.h>
@@ -367,6 +369,30 @@ sampleHostMemory()
         std::max(heap_high_water.load(std::memory_order_relaxed),
                  out.heapBytes);
     return out;
+}
+
+std::uint64_t
+residentBytesOfMapping(const void *addr)
+{
+#if defined(__linux__)
+    const auto at = reinterpret_cast<std::uintptr_t>(addr);
+    std::ifstream smaps("/proc/self/smaps");
+    bool holds = false;
+    std::string line;
+    while (std::getline(smaps, line)) {
+        // A VMA header ("lo-hi perms offset dev inode path") is the
+        // only line that scans as two hex numbers around a '-'.
+        unsigned long long lo = 0, hi = 0, kib = 0;
+        if (std::sscanf(line.c_str(), "%llx-%llx", &lo, &hi) == 2)
+            holds = lo <= at && at < hi;
+        else if (holds &&
+                 std::sscanf(line.c_str(), "Rss: %llu kB", &kib) == 1)
+            return static_cast<std::uint64_t>(kib) * 1024;
+    }
+#else
+    (void)addr;
+#endif
+    return 0;
 }
 
 } // namespace csim

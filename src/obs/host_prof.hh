@@ -19,7 +19,8 @@
  * Scopes can attach simulated-instruction counts
  * (HOST_PROF_INSTRUCTIONS), from which per-scope host-MIPS is
  * derived. sampleHostMemory() reads peak/current RSS and (glibc)
- * heap usage, tracking an allocation high-water mark across samples.
+ * heap usage, tracking an allocation high-water mark across samples;
+ * residentBytesOfMapping() reads one mapping's resident bytes.
  *
  * Cost model: a scope is one map descent + two steady_clock reads,
  * so scopes belong at phase boundaries (a trace build, a whole sim
@@ -91,6 +92,15 @@ struct HostMemoryStats
 
 /** Sample process memory and advance the heap high-water mark. */
 HostMemoryStats sampleHostMemory();
+
+/**
+ * Resident bytes of the mapping that holds `addr`: the `Rss:` line of
+ * its VMA in /proc/self/smaps (Linux; 0 when no mapping holds `addr`
+ * or smaps cannot be read). This counts the pages this process has
+ * mapped, which is what madvise(MADV_DONTNEED) drops; mincore() would
+ * answer for the page cache instead, which that release leaves alone.
+ */
+std::uint64_t residentBytesOfMapping(const void *addr);
 
 class HostProf
 {

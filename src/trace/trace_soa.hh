@@ -54,11 +54,13 @@ class TraceSoA
     /**
      * View columns owned elsewhere. `keepalive`, when given, is
      * retained for the view's lifetime and keeps the backing storage
-     * (e.g. a store mapping) alive.
+     * (e.g. a store mapping) alive; `mapped` names that mapping's
+     * bytes when the columns live in one.
      */
     explicit TraceSoA(const Columns &cols,
-                      std::shared_ptr<const void> keepalive = nullptr)
-        : c_(cols), keepalive_(std::move(keepalive))
+                      std::shared_ptr<const void> keepalive = nullptr,
+                      std::span<const std::byte> mapped = {})
+        : c_(cols), keepalive_(std::move(keepalive)), mapped_(mapped)
     {}
 
     std::size_t size() const { return c_.size; }
@@ -92,6 +94,10 @@ class TraceSoA
     std::span<const RegIndex> dest() const { return {c_.dest, c_.size}; }
     std::span<const RegIndex> src1() const { return {c_.src1, c_.size}; }
     std::span<const RegIndex> src2() const { return {c_.src2, c_.size}; }
+
+    /** The whole file mapping the columns live in (an mmap-ed store);
+     *  empty for a Trace's view. */
+    std::span<const std::byte> mapped() const { return mapped_; }
 
     bool
     isBranch(std::size_t i) const
@@ -155,6 +161,7 @@ class TraceSoA
     /** Backing storage the columns point into, when the view owns a
      *  share of it (a store mapping); null for a Trace's view. */
     std::shared_ptr<const void> keepalive_;
+    std::span<const std::byte> mapped_;
 };
 
 } // namespace csim

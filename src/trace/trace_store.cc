@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include <fcntl.h>
@@ -155,6 +156,25 @@ struct FdCloser
             ::close(fd);
     }
 };
+
+/**
+ * Drop a store view's pages from this process's resident set. The
+ * mapping is private, read-only and never written, so this discards
+ * no data: a later read re-faults its page from the page cache. The
+ * whole mapping goes, not just the rows a region copied, because a
+ * read fault also maps neighbouring pages (fault-around) that a
+ * row-range release would leave resident; the kernel skips the
+ * unpopulated ranges. A release the kernel refuses (a locked
+ * mapping) only leaves the pages resident, so its result is ignored.
+ */
+void
+releaseResidentPages(const TraceSoA &soa)
+{
+    const std::span<const std::byte> mapped = soa.mapped();
+    if (!mapped.empty())
+        (void)::madvise(const_cast<std::byte *>(mapped.data()),
+                        mapped.size(), MADV_DONTNEED);
+}
 
 } // anonymous namespace
 
@@ -359,7 +379,8 @@ loadTraceStore(TraceSoA &soa, const std::string &path,
         info->instructions = hdr.count;
         info->fileBytes = file_bytes;
     }
-    soa = TraceSoA(cols, std::move(mapping));
+    soa = TraceSoA(cols, std::move(mapping),
+                   {map, static_cast<std::size_t>(file_bytes)});
     return TraceIoStatus::Ok;
 }
 
@@ -393,6 +414,7 @@ extractRegion(const TraceSoA &soa, std::uint64_t base,
     copy(region.dest_, soa.dest());
     copy(region.src1_, soa.src1());
     copy(region.src2_, soa.src2());
+    releaseResidentPages(soa);
     return region;
 }
 

@@ -6,9 +6,10 @@
  * after the header is the twelve columns a Trace holds (five 8-byte
  * columns, then seven byte columns, each 8-byte aligned), so loading
  * is one mmap + header validation and the mapping itself backs a
- * zero-copy TraceSoA. Pages are faulted in only as the timing core
- * touches them, which is what lets region-sampled runs over a
- * multi-hundred-MB store stay within a small resident set.
+ * zero-copy TraceSoA. Pages are faulted in only as they are read, and
+ * extractRegion drops them again once it has copied a region out, so
+ * region sampling over a multi-hundred-MB store holds one region's
+ * pages at a time, not every region it has sampled.
  *
  * Writing is streaming-friendly: TraceStoreWriter preallocates the
  * column layout for a declared capacity and pwrite()s each appended
@@ -53,7 +54,8 @@ struct TraceStoreInfo
 {
     std::uint64_t instructions = 0;
     /** Bytes of the file, all of which stay mmap-ed for the view's
-     *  lifetime. */
+     *  lifetime; only the pages read since the last extractRegion
+     *  are resident. */
     std::uint64_t fileBytes = 0;
 };
 
@@ -124,8 +126,11 @@ TraceIoStatus loadTraceStore(TraceSoA &soa, const std::string &path,
  * invalidInstId — the operand was ready at dispatch, exactly the
  * semantics of a link reaching before a trace window). A region of a
  * well-formed trace is wellFormed() and feeds TimingSim like any built
- * trace; only the touched rows' pages of an mmap-backed view are
- * faulted in.
+ * trace. For an mmap-backed view the copy faults in the touched rows'
+ * pages, and then the whole mapping's resident pages are dropped
+ * (madvise MADV_DONTNEED), so the process keeps the region, not the
+ * store pages it came from; a later read of the view re-faults from
+ * the page cache. A view of an in-memory Trace is left as it is.
  */
 Trace extractRegion(const TraceSoA &soa, std::uint64_t base,
                     std::uint64_t len);

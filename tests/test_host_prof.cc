@@ -3,8 +3,9 @@
  * Host-side profiler tests: nested-scope tree shape and counters,
  * cross-thread merge determinism (1 vs 4 sweep worker threads must
  * render byte-identical canonical trees), the worker-pool path
- * adopter, the runtime disable gate, memory-sample monotonicity, and
- * the schema-v4 "host" blocks emitted through BenchContext.
+ * adopter, the runtime disable gate, memory-sample monotonicity, the
+ * smaps residency reader, and the schema-v4 "host" blocks emitted
+ * through BenchContext.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "harness/json_report.hh"
 #include "harness/sweep.hh"
@@ -230,6 +235,40 @@ TEST(HostMemory, PeakRssIsMonotoneAndHighWaterSticks)
     // Peak RSS never decreases; the heap high-water survives frees.
     EXPECT_GE(after.peakRssBytes, during.peakRssBytes);
     EXPECT_GE(after.heapHighWaterBytes, during.heapHighWaterBytes);
+}
+
+TEST(HostMemory, MappingResidencyCountsThisProcessesPages)
+{
+    // A 64 KiB file mapping: reading every page makes all of it
+    // resident, MADV_DONTNEED drops it again (the page cache keeps the
+    // file, which mincore would still report), and an address no
+    // mapping holds reads 0.
+    const std::string path = std::string(::testing::TempDir()) +
+        "/csim_resident_" + std::to_string(::getpid());
+    const std::size_t bytes = 64 * 1024;
+    {
+        std::ofstream out(path, std::ios::binary);
+        const std::vector<char> ones(bytes, 1);
+        out.write(ones.data(), static_cast<std::streamsize>(bytes));
+    }
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0);
+    void *base = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);
+    ASSERT_NE(base, MAP_FAILED);
+    const volatile char *bytesIn = static_cast<const char *>(base);
+    const long page = ::sysconf(_SC_PAGESIZE);
+    int sum = 0;
+    for (std::size_t off = 0; off < bytes; off += page)
+        sum += bytesIn[off];
+    EXPECT_EQ(sum, static_cast<int>(bytes / page));
+    EXPECT_EQ(residentBytesOfMapping(base), bytes);
+
+    ASSERT_EQ(::madvise(base, bytes, MADV_DONTNEED), 0);
+    EXPECT_EQ(residentBytesOfMapping(base), 0u);
+    ::munmap(base, bytes);
+    EXPECT_EQ(residentBytesOfMapping(nullptr), 0u);
+    std::remove(path.c_str());
 }
 
 TEST(HostProfJson, SchemaV5RoundTripCarriesHostBlocks)

@@ -480,6 +480,19 @@ TEST(BenchContextLedgerDeathTest, WarmupWithoutRegionsIsFatal)
         "--warmup requires --regions");
 }
 
+TEST(BenchContextLedgerDeathTest, RepeatedSeedIsFatal)
+{
+    // A seed listed twice would run each cell's job for it twice and
+    // count it twice in the aggregate; startup names the repeat.
+    const char *argv[] = {"bench", "--seeds", "1,1"};
+    EXPECT_DEATH(BenchContext("bench", 3, const_cast<char **>(argv)),
+                 "bad --seeds '1,1': seed 1 is listed twice");
+    const char *argv_far[] = {"bench", "--seeds", "3,7,5,7"};
+    EXPECT_DEATH(
+        BenchContext("bench", 3, const_cast<char **>(argv_far)),
+        "seed 7 is listed twice");
+}
+
 TEST(BenchContextLedgerDeathTest, SignedPaddedOrOverflowingNumberIsFatal)
 {
     // strtoull would negate "-1" into 2^64-1, skip the blank of " 5"

@@ -4,7 +4,8 @@
  * streaming-writer equivalence, the pipelined streaming build (every
  * proxy and chunk size, writer failures), region extraction, the
  * column-view simulation path, phased runs, region-sampling
- * determinism, and hostile files (bad headers, bad producer links).
+ * determinism and residency, and hostile files (bad headers, bad
+ * producer links).
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 
 #include "core/timing_sim.hh"
 #include "harness/experiment.hh"
+#include "obs/host_prof.hh"
 #include "obs/run_ledger.hh"
 #include "policy/scheduling.hh"
 #include "policy/steering.hh"
@@ -542,6 +544,57 @@ TEST(TraceStoreRegions, ExactFitBudgetAndSingleRegionAreAccepted)
     const AggregateResult whole = runRegionSampledCell(
         soa, MachineConfig::clustered(4), PolicyKind::Focused, cfg);
     EXPECT_EQ(whole.instructions, trace.size() - 100);
+}
+
+TEST(TraceStoreRegions, SampledStoreKeepsAtMostOneRegionResident)
+{
+    // extractRegion drops the store mapping's pages once it has copied
+    // a region out, so after any number of sampled regions at most one
+    // region's column bytes of the mapping stay resident; without the
+    // release every region's pages (and the neighbours each fault maps
+    // with them) would. The outcome is the in-memory trace's.
+    const Trace trace = smallTrace("gcc", 64000, 2);
+    const std::string path = tempPath("resident");
+    ASSERT_TRUE(saveTraceStore(trace, path));
+    TraceSoA soa;
+    ASSERT_EQ(loadTraceStore(soa, path), TraceIoStatus::Ok);
+
+    // The reader sees the mapping: reading the pc column makes at
+    // least that column resident.
+    const std::span<const Addr> pc = soa.pc();
+    Addr sum = 0;
+    for (const Addr a : pc)
+        sum += a;
+    EXPECT_NE(sum, 0u);
+    EXPECT_GE(residentBytesOfMapping(pc.data()), pc.size_bytes());
+
+    ExperimentConfig cfg;
+    cfg.instructions = trace.size();
+    cfg.regions = 8;
+    cfg.regionLen = 1000;
+    cfg.regionWarmup = 200;
+    const MachineConfig mc = MachineConfig::clustered(4);
+    const AggregateResult mapped =
+        runRegionSampledCell(soa, mc, PolicyKind::Focused, cfg);
+    EXPECT_LE(residentBytesOfMapping(pc.data()),
+              Trace::bytesPerInstruction *
+                  (cfg.regionWarmup + cfg.regionLen));
+
+    const AggregateResult held =
+        runRegionSampledCell(trace.soa(), mc, PolicyKind::Focused, cfg);
+    EXPECT_EQ(mapped.instructions, 8 * cfg.regionLen);
+    EXPECT_EQ(mapped.instructions, held.instructions);
+    EXPECT_EQ(mapped.cycles, held.cycles);
+    EXPECT_EQ(statsDigest(mapped.stats), statsDigest(held.stats));
+    ASSERT_EQ(mapped.phases.size(), held.phases.size());
+    for (std::size_t i = 0; i < mapped.phases.size(); ++i) {
+        EXPECT_EQ(mapped.phases[i].instructions,
+                  held.phases[i].instructions);
+        EXPECT_EQ(mapped.phases[i].cycles, held.phases[i].cycles);
+        EXPECT_EQ(statsDigest(mapped.phases[i].stats),
+                  statsDigest(held.phases[i].stats));
+    }
+    std::remove(path.c_str());
 }
 
 TEST(TraceStoreRegionsDeath, RegionBudgetExceedingStoreIsFatal)
