@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "obs/stats_registry.hh"
 
@@ -27,18 +28,71 @@ enum class SteerReason : std::uint8_t
     ProactiveLB,    ///< pushed away by proactive load-balancing
 };
 
-/** Lifecycle timestamps and steering metadata of a dynamic instruction. */
+/**
+ * A cycle held in 32 bits that reads and writes as a Cycle. The all-ones
+ * pattern stands for invalidCycle in both directions, so the largest
+ * storable cycle is 2^32 - 2. Writing any other cycle past that panics
+ * rather than truncating. A stamp converts only to Cycle: a cast to any
+ * other type, or a conditional whose other arm is an int, does not
+ * compile, so no read narrows a stamp silently. Only a printf-style
+ * argument escapes that (and -Wformat flags it): pass Cycle{stamp}.
+ */
+class CycleStamp
+{
+  public:
+    /** Largest cycle a stamp can hold. */
+    static constexpr Cycle maxCycle = UINT32_MAX - 1;
+
+    CycleStamp() = default;
+    explicit CycleStamp(Cycle c) { *this = c; }
+
+    operator Cycle() const { return v_ == none ? invalidCycle : v_; }
+    template <class T> operator T() const = delete;
+
+    CycleStamp &
+    operator=(Cycle c)
+    {
+        if (c > maxCycle) [[unlikely]] {
+            if (c != invalidCycle)
+                CSIM_PANIC_F("CycleStamp: cycle %llu is past the 32-bit "
+                             "stamp limit %llu",
+                             static_cast<unsigned long long>(c),
+                             static_cast<unsigned long long>(maxCycle));
+            v_ = none;
+        } else {
+            v_ = static_cast<std::uint32_t>(c);
+        }
+        return *this;
+    }
+
+    friend bool
+    operator==(CycleStamp a, CycleStamp b)
+    {
+        return a.v_ == b.v_;
+    }
+
+  private:
+    static constexpr std::uint32_t none = UINT32_MAX;
+    std::uint32_t v_ = none;
+};
+
+/**
+ * Lifecycle timestamps and steering metadata of a dynamic instruction:
+ * six 32-bit cycle stamps and seven bytes of steering metadata, 32 B in
+ * all, so two records share a cache line. A full-trace run keeps one
+ * per instruction (SimResult::timing).
+ */
 struct InstTiming
 {
-    Cycle fetch = invalidCycle;
+    CycleStamp fetch;
     /** Cycle the instruction was steered into a cluster window. */
-    Cycle dispatch = invalidCycle;
+    CycleStamp dispatch;
     /** Cycle all operands were available at this cluster. */
-    Cycle ready = invalidCycle;
-    Cycle issue = invalidCycle;
+    CycleStamp ready;
+    CycleStamp issue;
     /** Cycle execution finished (result locally visible). */
-    Cycle complete = invalidCycle;
-    Cycle commit = invalidCycle;
+    CycleStamp complete;
+    CycleStamp commit;
 
     ClusterId cluster = invalidCluster;
     /** Cluster the steering policy wanted (producer's cluster). */
@@ -54,6 +108,9 @@ struct InstTiming
     /** Bit per SrcSlot: operand arrived via the global bypass. */
     std::uint8_t crossMask = 0;
 };
+
+static_assert(sizeof(InstTiming) == 32,
+              "InstTiming is six 32-bit stamps plus seven metadata bytes");
 
 /**
  * One named simulation phase (ChampSim-style warmup/measure split).

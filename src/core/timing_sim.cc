@@ -633,11 +633,11 @@ TimingSim::stuckPanic()
                  (unsigned long long)steerIdx_,
                  (unsigned long long)fetchIdx_,
                  (unsigned long long)n,
-                 (unsigned long long)h.fetch,
-                 (unsigned long long)h.dispatch,
-                 (unsigned long long)h.ready,
-                 (unsigned long long)h.issue,
-                 (unsigned long long)h.complete,
+                 (unsigned long long)Cycle{h.fetch},
+                 (unsigned long long)Cycle{h.dispatch},
+                 (unsigned long long)Cycle{h.ready},
+                 (unsigned long long)Cycle{h.issue},
+                 (unsigned long long)Cycle{h.complete},
                  (unsigned)h.cluster,
                  (unsigned)pendingOps_[ring(commitIdx_)]);
     for (std::size_t c = 0; c < clusters_.size(); ++c) {

@@ -289,8 +289,10 @@ class TimingSim : public CoreView
 
     std::unique_ptr<std::byte[]> sideArena_;
     std::uint64_t ringMask_ = 0;
-    /** Backing store for timing_; moved wholesale into the SimResult
-     *  at the end of run() instead of being copied out. */
+    /** Backing store for timing_, one 32 B record per instruction
+     *  (the run's only per-instruction allocation besides the 2 B
+     *  deliveredMask_); moved wholesale into the SimResult at the end
+     *  of run() instead of being copied out. */
     std::vector<InstTiming> timingStore_;
     InstTiming *timing_ = nullptr;
     std::uint64_t *prioKey_ = nullptr;

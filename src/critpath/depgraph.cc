@@ -72,7 +72,7 @@ analyzeCriticalPath(const Trace &trace,
         return mp;
     };
 
-    const Cycle floor = (begin == 0) ? 0 : tm(begin).fetch;
+    const Cycle floor = (begin == 0) ? 0 : Cycle{tm(begin).fetch};
     const unsigned depth = config.frontendDepth;
     const unsigned cw = config.commitWidth;
 

@@ -35,8 +35,9 @@ writePipeTrace(std::ostream &out, const Trace &trace,
         CSIM_ASSERT(t.issue <= t.complete);
         CSIM_ASSERT(t.complete < t.commit);
 
-        // The O3PipeView lines carry only the pc and the opcode.
-        char buf[256];
+        // The O3PipeView lines carry only the pc and the opcode. The
+        // seven lines fit in 512 bytes even with 20-digit cycles.
+        char buf[512];
         std::snprintf(
             buf, sizeof buf,
             "O3PipeView:fetch:%" PRIu64 ":0x%08" PRIx64 ":0:%" PRIu64
@@ -47,13 +48,13 @@ writePipeTrace(std::ostream &out, const Trace &trace,
             "O3PipeView:issue:%" PRIu64 "\n"
             "O3PipeView:complete:%" PRIu64 "\n"
             "O3PipeView:retire:%" PRIu64 ":store:0\n",
-            t.fetch, view.pc()[id], id,
+            Cycle{t.fetch}, view.pc()[id], id,
             std::string(opName(view.op()[id])).c_str(),
             static_cast<unsigned>(t.cluster),
             t.predictedCritical ? 1 : 0,
             static_cast<unsigned>(t.locLevel),
-            t.dispatch, t.dispatch, t.dispatch,
-            t.issue, t.complete, t.commit);
+            Cycle{t.dispatch}, Cycle{t.dispatch}, Cycle{t.dispatch},
+            Cycle{t.issue}, Cycle{t.complete}, Cycle{t.commit});
         out << buf;
         ++traced;
     }

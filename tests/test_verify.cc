@@ -252,7 +252,7 @@ TEST(PipelineCheckerNegative, TamperedCommitOrder)
 // geometries. The reports must agree exactly, first detail included.
 
 /** A stage stamp of @p t by index: fetch, dispatch, ..., commit. */
-Cycle &
+CycleStamp &
 stampAt(InstTiming &t, std::uint64_t which)
 {
     switch (which) {
@@ -285,11 +285,16 @@ tamper(Rng &rng, std::vector<InstTiming> &timing, unsigned clusters)
     InstTiming &t = timing[i];
     switch (rng.below(6)) {
       case 0: {
-        // Shift a stamp by a few cycles, or (wrapping) arbitrarily far.
-        Cycle &stamp = stampAt(t, rng.below(6));
-        stamp += rng.chance(1, 8)
-            ? rng.next()
-            : static_cast<Cycle>(rng.range(-6, 6));
+        // Shift a stamp by a few cycles, or arbitrarily far, wrapping
+        // within the stamp's 32 bits: the all-ones pattern is
+        // invalidCycle there, as it is in a Cycle.
+        CycleStamp &stamp = stampAt(t, rng.below(6));
+        const std::uint32_t raw =
+            static_cast<std::uint32_t>(Cycle{stamp}) +
+            static_cast<std::uint32_t>(
+                rng.chance(1, 8) ? rng.next()
+                                 : static_cast<Cycle>(rng.range(-6, 6)));
+        stamp = raw == UINT32_MAX ? invalidCycle : Cycle{raw};
         break;
       }
       case 1:
@@ -394,8 +399,8 @@ TEST(AuditDifferential, MatchesReferenceOnTamperedRuns)
 TEST(AuditDifferential, StampsNearCycleMax)
 {
     // Any stamp other than invalidCycle is a cycle: shift a clean run
-    // to the top of the range. It stays clean, and a fault in it is
-    // reported exactly as the reference does.
+    // to the top of the 32-bit stamp range. It stays clean, and a
+    // fault in it is reported exactly as the reference does.
     const Trace trace = workloadTrace("gcc", 2000);
     const MachineConfig machine = MachineConfig::clustered(4);
     ModNSteering steer;
@@ -404,12 +409,13 @@ TEST(AuditDifferential, StampsNearCycleMax)
 
     Cycle last = 0;
     for (const InstTiming &t : res.timing)
-        last = std::max(last, t.commit);
-    const Cycle shift = invalidCycle - 1 - last;
+        last = std::max(last, Cycle{t.commit});
+    const Cycle shift = CycleStamp::maxCycle - last;
     std::vector<InstTiming> timing = res.timing;
     for (InstTiming &t : timing)
         for (std::uint64_t s = 0; s < 6; ++s)
-            stampAt(t, s) += shift;
+            stampAt(t, s) = stampAt(t, s) + shift;
+    EXPECT_EQ(timing.back().commit, CycleStamp::maxCycle);
     const VerifyReport clean = auditTiming(trace, timing, machine);
     EXPECT_TRUE(clean.ok()) << clean.firstDetail;
     EXPECT_EQ(clean.checkedInstructions, trace.size());

@@ -277,9 +277,11 @@ def check_host(where, h):
     check_number(h.get("wallSeconds"), f"{where}.wallSeconds")
     require(h["wallSeconds"] > 0, f"{where}.wallSeconds must be > 0")
     check_number(h.get("hostMips"), f"{where}.hostMips")
-    require(h["hostMips"] > 0, f"{where}.hostMips must be > 0")
     check_uint(h.get("measuredInstructions"),
                f"{where}.measuredInstructions")
+    if h["measuredInstructions"] > 0:
+        require(h["hostMips"] > 0, f"{where}.hostMips must be > 0 "
+                f"when instructions were measured")
     for k in ("peakRssBytes", "currentRssBytes", "heapBytes",
               "heapHighWaterBytes"):
         check_uint(h.get(k), f"{where}.{k}")

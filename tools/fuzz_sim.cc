@@ -216,15 +216,18 @@ checkSteppingDifferential(const Trace &trace,
         const InstTiming &s = skip.sim.timing[id];
         const InstTiming &d = dense.sim.timing[id];
         std::string detail;
-        if (timingFieldDiffers("fetch", s.fetch, d.fetch, id, detail) ||
-            timingFieldDiffers("dispatch", s.dispatch, d.dispatch, id,
-                               detail) ||
-            timingFieldDiffers("ready", s.ready, d.ready, id, detail) ||
-            timingFieldDiffers("issue", s.issue, d.issue, id, detail) ||
-            timingFieldDiffers("complete", s.complete, d.complete, id,
-                               detail) ||
-            timingFieldDiffers("commit", s.commit, d.commit, id,
-                               detail) ||
+        if (timingFieldDiffers<Cycle>("fetch", s.fetch, d.fetch, id,
+                                      detail) ||
+            timingFieldDiffers<Cycle>("dispatch", s.dispatch, d.dispatch,
+                                      id, detail) ||
+            timingFieldDiffers<Cycle>("ready", s.ready, d.ready, id,
+                                      detail) ||
+            timingFieldDiffers<Cycle>("issue", s.issue, d.issue, id,
+                                      detail) ||
+            timingFieldDiffers<Cycle>("complete", s.complete, d.complete,
+                                      id, detail) ||
+            timingFieldDiffers<Cycle>("commit", s.commit, d.commit, id,
+                                      detail) ||
             timingFieldDiffers("cluster", s.cluster, d.cluster, id,
                                detail) ||
             timingFieldDiffers("desired", s.desired, d.desired, id,

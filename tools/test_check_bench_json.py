@@ -5,7 +5,8 @@ The validator accepts only schema version 7, the one the report writer
 emits: a minimal v7 report and the committed BENCH_throughput.json
 (under --require-host, as CI checks it) pass; an older version or a v7
 report without its provenance block fails with a one-line diagnostic,
-never a traceback. Everything here drives the script as a subprocess,
+never a traceback. A host block may read 0 MIPS only when it measured
+no instructions. Everything here drives the script as a subprocess,
 exactly as CI does.
 """
 
@@ -98,6 +99,27 @@ class CheckBenchJsonTest(unittest.TestCase):
     def test_simulated_run_below_min_stats_fails(self):
         proc = self.check_report(minimal_report(), "--min-stats", "10")
         self.assertCleanFailure(proc, "only 2 stats, expected >= 10")
+
+    def with_host(self, measured, mips):
+        d = minimal_report()
+        d["host"] = {
+            "wallSeconds": 0.25, "hostMips": mips,
+            "measuredInstructions": measured, "peakRssBytes": 1 << 22,
+            "currentRssBytes": 1 << 22, "heapBytes": 1 << 16,
+            "heapHighWaterBytes": 1 << 16,
+            "timerTree": {"name": "root", "calls": 1, "ns": 250000000,
+                          "instructions": measured, "mips": mips,
+                          "children": []}}
+        return d
+
+    def test_host_without_measured_instructions_may_read_zero_mips(self):
+        # bench_table1_config simulates nothing, so it measures 0 MIPS.
+        proc = self.check_report(self.with_host(0, 0))
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_host_with_measured_instructions_needs_mips(self):
+        proc = self.check_report(self.with_host(1000, 0))
+        self.assertCleanFailure(proc, "host.hostMips must be > 0")
 
 
 if __name__ == "__main__":
