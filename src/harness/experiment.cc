@@ -407,7 +407,7 @@ aggregateOverSeeds(const std::string &workload,
                 cache->get(workload, wcfg);
             agg.merge(per_seed(*trace));
         } else {
-            Trace trace = buildAnnotatedTrace(workload, wcfg);
+            Trace trace = buildSimulationTrace(workload, wcfg);
             agg.merge(per_seed(trace));
         }
     }

@@ -275,14 +275,14 @@ AggregateResult runPolicyCell(
 
 /**
  * Region-sampled cell evaluation straight off a column view (e.g. an
- * mmap-ed trace store; cfg.regions must be set). Regions are copied
- * out into traces one at a time, and extractRegion drops a mapped
- * store's pages after each copy, so the trace-side resident set is
- * one region span (47 B/inst for the copy, plus its pages of the
- * mapping while it is copied) however many regions are sampled; only
- * the sampled pages of a store mapped from disk are ever read. Region
- * results merge in region order, so the outcome is thread-count
- * invariant.
+ * mmap-ed trace store or a cached simulation-only trace; cfg.regions
+ * must be set). Regions are copied out into simulation-only traces one
+ * at a time, and extractRegion drops a mapped store's pages after each
+ * copy, so the trace-side resident set is one region span (36 B/inst
+ * for the copy, plus its pages of the mapping while it is copied)
+ * however many regions are sampled; only the sampled pages of a store
+ * mapped from disk are ever read. Region results merge in region
+ * order, so the outcome is thread-count invariant.
  */
 AggregateResult runRegionSampledCell(const TraceSoA &soa,
                                      const MachineConfig &machine,

@@ -120,8 +120,8 @@ TraceCache::get(const std::string &workload, const WorkloadConfig &cfg,
     const std::uint64_t build_start = wallNs();
     std::shared_ptr<const Trace> trace = [&] {
         HOST_PROF_SCOPE("traceCache.build");
-        return buildSharedAnnotatedTrace(workload, cfg, mem,
-                                         gshare_bits);
+        return std::make_shared<const Trace>(
+            buildSimulationTrace(workload, cfg, mem, gshare_bits));
     }();
     const std::uint64_t build_ns = wallNs() - build_start;
     promise.set_value(trace);

@@ -7,9 +7,14 @@
  * and then shared immutably (shared_ptr<const Trace>) across all
  * experiment cells that need it — the trace-build passes (emulation,
  * producer linking, branch and cache annotation) are deterministic, so
- * a cached trace is bit-identical to a fresh build. The cache is
- * thread-safe: concurrent requests for a trace that is still being
- * built block on the in-flight build instead of duplicating it.
+ * a cached trace's columns are bit-identical to a fresh build's. A
+ * cached trace is simulation-only (buildSimulationTrace): it holds the
+ * eight columns every cell reads, 36 B/inst, and none of the build
+ * columns, so it cannot be linked, annotated or stored again. The
+ * cache is thread-safe: concurrent requests for a trace that is still
+ * being built block on the in-flight build instead of duplicating it.
+ * A trace longer than one chunk is built by a pipelined chunk loop
+ * whose two stage threads run inside the requesting thread's build.
  *
  * Entries live until the cache is destroyed: a sweep's traces are few
  * and reused across its cells, so nothing is evicted. Cache activity
@@ -51,8 +56,9 @@ class TraceCache
     TraceCache &operator=(const TraceCache &) = delete;
 
     /**
-     * The annotated trace for this cell key, building it on first use.
-     * Blocks if another thread is currently building the same trace.
+     * The simulation-only trace for this cell key, building it on
+     * first use. Blocks if another thread is currently building the
+     * same trace.
      */
     std::shared_ptr<const Trace>
     get(const std::string &workload, const WorkloadConfig &cfg,

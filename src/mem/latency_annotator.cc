@@ -15,6 +15,7 @@ annotateMemory(Trace &trace, const MemoryModelConfig &config)
 MemAnnotateResult
 annotateMemory(Trace &trace, Cache &l1, const MemoryModelConfig &config)
 {
+    trace.requireBuildColumns("annotateMemory");
     MemAnnotateResult res;
 
     const TraceSoA view = trace.soa();

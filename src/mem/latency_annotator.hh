@@ -30,7 +30,9 @@ struct MemAnnotateResult
 
 /**
  * Annotate rec.execLat and rec.l1Miss for every load; stores access the
- * cache (write-allocate) but keep their 1-cycle occupancy.
+ * cache (write-allocate) but keep their 1-cycle occupancy. The trace
+ * must hold its build columns (it reads memAddr); a simulation-only
+ * trace panics.
  */
 MemAnnotateResult annotateMemory(Trace &trace,
                                  const MemoryModelConfig &config =

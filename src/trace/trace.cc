@@ -24,6 +24,59 @@ Trace::sizeColumns(std::size_t n)
     src2_.resize(n);
 }
 
+void
+Trace::reserve(std::size_t n)
+{
+    pc_.reserve(n);
+    if (buildColumns_) {
+        sizeColumns(n);
+        return;
+    }
+    // appendSimulationColumns() appends to every column, so capacity
+    // is all it needs; zero-filling ahead would only fault the pages
+    // in early, on the thread the build waits for.
+    for (auto &col : prod_)
+        col.reserve(n);
+    op_.reserve(n);
+    cls_.reserve(n);
+    execLat_.reserve(n);
+    flags_.reserve(n);
+}
+
+void
+Trace::dropBuildColumns()
+{
+    // Swapped out, not cleared: clear() would keep the capacity.
+    std::vector<Addr>().swap(memAddr_);
+    std::vector<RegIndex>().swap(dest_);
+    std::vector<RegIndex>().swap(src1_);
+    std::vector<RegIndex>().swap(src2_);
+    buildColumns_ = false;
+}
+
+void
+Trace::appendSimulationColumns(const Trace &chunk)
+{
+    if (buildColumns_)
+        CSIM_PANIC("Trace::appendSimulationColumns: the target holds "
+                   "build columns, which would be left unfilled");
+    const std::size_t i = size();
+    const std::size_t n = chunk.size();
+    // Rows sized ahead past the end (a trace that dropped its build
+    // columns after append()) are cut before the chunk's rows go on.
+    const auto put = [&](auto &dst, const auto &src) {
+        dst.resize(i);
+        dst.insert(dst.end(), src.begin(), src.begin() + n);
+    };
+    put(pc_, chunk.pc_);
+    for (int slot = 0; slot < numSrcSlots; ++slot)
+        put(prod_[slot], chunk.prod_[slot]);
+    put(op_, chunk.op_);
+    put(cls_, chunk.cls_);
+    put(execLat_, chunk.execLat_);
+    put(flags_, chunk.flags_);
+}
+
 TraceRecord
 Trace::operator[](std::size_t i) const
 {
@@ -36,16 +89,18 @@ Trace::soa() const
     TraceSoA::Columns cols;
     cols.size = size();
     cols.pc = pc_.data();
-    cols.memAddr = memAddr_.data();
     for (int slot = 0; slot < numSrcSlots; ++slot)
         cols.prod[slot] = prod_[slot].data();
     cols.op = op_.data();
     cols.cls = cls_.data();
     cols.execLat = execLat_.data();
     cols.flags = flags_.data();
-    cols.dest = dest_.data();
-    cols.src1 = src1_.data();
-    cols.src2 = src2_.data();
+    if (buildColumns_) {
+        cols.memAddr = memAddr_.data();
+        cols.dest = dest_.data();
+        cols.src1 = src1_.data();
+        cols.src2 = src2_.data();
+    }
     return TraceSoA(cols);
 }
 
@@ -91,6 +146,7 @@ Trace::linkProducers()
 void
 StreamingProducerLinker::link(Trace &chunk, InstId base)
 {
+    chunk.requireBuildColumns("StreamingProducerLinker::link");
     const TraceSoA view = chunk.soa();
     for (std::size_t i = 0; i < view.size(); ++i) {
         const InstId id = base + i;

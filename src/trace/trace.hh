@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "isa/opcode.hh"
 
@@ -106,27 +107,45 @@ struct TraceStats
 };
 
 /**
- * A dynamic trace, held as twelve per-field columns: pc, memAddr, the
- * three producer columns, op, cls, execLat, packed flags, dest, src1
- * and src2 — the layout the timing core, the analyses and the v2
- * trace store all read. append() scatters a record into the columns;
- * operator[] gathers one back. The passes that annotate a built trace
- * write only the columns they own, through the setters below.
+ * A dynamic trace, held as per-field columns in two groups:
+ *
+ * - the eight *simulation columns* (pc, the three producer columns, op,
+ *   cls, execLat and the packed flags; 36 B/inst), which the timing
+ *   core, the policies and the analyses read;
+ * - the four *build columns* (memAddr, dest, src1 and src2; 11 B/inst),
+ *   which only the producer linker, the memory annotator and the store
+ *   writer read.
+ *
+ * A built trace holds all twelve, the layout the v2 trace store writes.
+ * Once linking and annotation are done the build columns are dead, and
+ * dropBuildColumns() frees them: the simulation-only trace that is left
+ * is what TraceCache holds and what extractRegion copies out. append()
+ * scatters a record into the columns; operator[] gathers one back. The
+ * passes that annotate a built trace write only the columns they own,
+ * through the setters below.
  */
 class Trace
 {
   public:
-    /** Host bytes per instruction: five 8-byte and seven 1-byte
-     *  columns. */
+    /** Host bytes per instruction of the simulation columns: four
+     *  8-byte (pc, three producers) and four 1-byte. */
+    static constexpr std::size_t simulationBytesPerInstruction =
+        sizeof(Addr) + numSrcSlots * sizeof(InstId) + sizeof(Opcode) +
+        sizeof(OpClass) + 2 * sizeof(std::uint8_t);
+    /** Host bytes per instruction of the build columns: memAddr and
+     *  three register names. */
+    static constexpr std::size_t buildBytesPerInstruction =
+        sizeof(Addr) + 3 * sizeof(RegIndex);
+    /** Host bytes per instruction of a trace holding both groups: five
+     *  8-byte and seven 1-byte columns. */
     static constexpr std::size_t bytesPerInstruction =
-        2 * sizeof(Addr) + numSrcSlots * sizeof(InstId) +
-        sizeof(Opcode) + sizeof(OpClass) + 2 * sizeof(std::uint8_t) +
-        3 * sizeof(RegIndex);
+        simulationBytesPerInstruction + buildBytesPerInstruction;
 
     /** Scatter one record into the columns (packing its flags). */
     void
     append(const TraceRecord &rec)
     {
+        requireBuildColumns("Trace::append");
         const std::size_t i = pc_.size();
         if (i == memAddr_.size())
             sizeColumns(2 * i + 16);
@@ -155,12 +174,7 @@ class Trace
 
     /** Make room for n instructions up front (no regrowth while they
      *  are appended). */
-    void
-    reserve(std::size_t n)
-    {
-        pc_.reserve(n);
-        sizeColumns(n);
-    }
+    void reserve(std::size_t n);
     std::size_t capacity() const { return pc_.capacity(); }
 
     std::size_t size() const { return pc_.size(); }
@@ -175,12 +189,43 @@ class Trace
      */
     TraceSoA soa() const;
 
-    /** Host bytes held by this trace (what the TraceCache budget
-     *  accounts). */
+    /** Host bytes of the columns this trace holds (what TraceCache
+     *  reports as bytesHeld). */
     std::size_t
     footprintBytes() const
     {
-        return size() * bytesPerInstruction;
+        return size() * (buildColumns_ ? bytesPerInstruction
+                                       : simulationBytesPerInstruction);
+    }
+
+    /** Whether the build columns are held (false once dropped). */
+    bool hasBuildColumns() const { return buildColumns_; }
+
+    /**
+     * Free the four build columns, leaving a simulation-only trace.
+     * Nothing can append records to it, link it, annotate its memory
+     * or store it afterwards; every reader of the simulation columns
+     * is unaffected.
+     */
+    void dropBuildColumns();
+
+    /**
+     * Append `chunk`'s eight simulation columns onto this
+     * simulation-only trace: the in-memory sink of a streaming build,
+     * whose chunks carry global producer links.
+     */
+    void appendSimulationColumns(const Trace &chunk);
+
+    /** Panic, naming `pass`, unless the build columns are held: the
+     *  guard of every pass that reads or writes them. */
+    void
+    requireBuildColumns(const char *pass) const
+    {
+        if (!buildColumns_)
+            CSIM_PANIC_F("%s: the trace is simulation-only; its build "
+                         "columns (memAddr, dest, src1, src2) were "
+                         "dropped",
+                         pass);
     }
 
     // Column writers of the passes that annotate a built trace.
@@ -239,14 +284,19 @@ class Trace
             on ? flags_[i] | flag : flags_[i] & ~flag);
     }
 
-    /** Grow every column but pc_ to at least n rows. */
+    /** Grow every column but pc_ to at least n rows (a trace holding
+     *  its build columns). */
     void sizeColumns(std::size_t n);
 
     // pc_ holds exactly the rows, so its size is the trace's; the
-    // other eleven columns are sized ahead (zero-filled) to at least
+    // other held columns are sized ahead (zero-filled) to at least
     // that, which lets append() write them by index behind a single
     // bounds check instead of eleven more push_backs. Copies and moves
-    // stay element-wise, so no two traces share a column.
+    // stay element-wise, so no two traces share a column. The four
+    // build columns are empty once buildColumns_ is false; a
+    // simulation-only trace grows by appendSimulationColumns() alone,
+    // which appends to every column.
+    bool buildColumns_ = true;
     std::vector<Addr> pc_;
     std::vector<Addr> memAddr_;
     std::array<std::vector<InstId>, numSrcSlots> prod_;
@@ -274,7 +324,8 @@ class StreamingProducerLinker
   public:
     StreamingProducerLinker() { lastWriter_.fill(invalidInstId); }
 
-    /** Link chunk's producers; `base` is chunk[0]'s global id. */
+    /** Link chunk's producers; `base` is chunk[0]'s global id. The
+     *  chunk must hold its build columns. */
     void link(Trace &chunk, InstId base);
 
   private:

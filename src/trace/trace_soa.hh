@@ -6,7 +6,10 @@
  * latency, producers, branch flags, pc) millions of times per run; as
  * dense per-field columns each hot loop streams exactly the bytes it
  * needs, where a 56-byte TraceRecord would drag cold fields through
- * the cache with them. A TraceSoA points at columns it does not own:
+ * the cache with them. A view of a simulation-only trace (Trace's
+ * class comment) has the eight simulation columns alone: its four
+ * build columns are empty spans. A TraceSoA points at columns it does
+ * not own:
  * either a Trace's (Trace::soa(), valid until that trace grows, is
  * cleared or is destroyed) or an mmap-ed trace store's (kept alive by
  * the view's keepalive). Copying a view copies the pointers, never the
@@ -32,7 +35,9 @@ namespace csim {
 class TraceSoA
 {
   public:
-    /** The twelve columns a view reads. */
+    /** The twelve columns a view reads; the four build columns
+     *  (memAddr, dest, src1, src2) are null in a simulation-only
+     *  view. */
     struct Columns
     {
         std::size_t size = 0;
@@ -66,13 +71,12 @@ class TraceSoA
     std::size_t size() const { return c_.size; }
     bool empty() const { return c_.size == 0; }
 
-    // Hot columns, one entry per dynamic instruction.
+    /** Whether the view has the build columns; a simulation-only
+     *  trace's view has not. */
+    bool hasBuildColumns() const { return c_.memAddr != nullptr; }
+
+    // Simulation columns, one entry per dynamic instruction.
     std::span<const Addr> pc() const { return {c_.pc, c_.size}; }
-    std::span<const Addr>
-    memAddr() const
-    {
-        return {c_.memAddr, c_.size};
-    }
     /** Producer column for one SrcSlot. */
     std::span<const InstId>
     prod(int slot) const
@@ -91,9 +95,13 @@ class TraceSoA
     {
         return {c_.flags, c_.size};
     }
-    std::span<const RegIndex> dest() const { return {c_.dest, c_.size}; }
-    std::span<const RegIndex> src1() const { return {c_.src1, c_.size}; }
-    std::span<const RegIndex> src2() const { return {c_.src2, c_.size}; }
+
+    // Build columns: one entry per instruction, or none in a
+    // simulation-only view.
+    std::span<const Addr> memAddr() const { return buildSpan(c_.memAddr); }
+    std::span<const RegIndex> dest() const { return buildSpan(c_.dest); }
+    std::span<const RegIndex> src1() const { return buildSpan(c_.src1); }
+    std::span<const RegIndex> src2() const { return buildSpan(c_.src2); }
 
     /** The whole file mapping the columns live in (an mmap-ed store);
      *  empty for a Trace's view. */
@@ -132,7 +140,12 @@ class TraceSoA
         return c_.cls[i] == OpClass::Store;
     }
 
-    /** Gather one record from the columns. */
+    /**
+     * Gather one record from the columns. A simulation-only view leaves
+     * the build fields at their defaults (zero, zeroReg), so such a
+     * record reads hasDest() false; appending it to a full trace would
+     * clear that trace's flagHasDest.
+     */
     TraceRecord
     record(std::size_t i) const
     {
@@ -141,10 +154,12 @@ class TraceSoA
         rec.pc = c_.pc[i];
         rec.op = c_.op[i];
         rec.cls = c_.cls[i];
-        rec.dest = c_.dest[i];
-        rec.src1 = c_.src1[i];
-        rec.src2 = c_.src2[i];
-        rec.memAddr = c_.memAddr[i];
+        if (hasBuildColumns()) {
+            rec.dest = c_.dest[i];
+            rec.src1 = c_.src1[i];
+            rec.src2 = c_.src2[i];
+            rec.memAddr = c_.memAddr[i];
+        }
         for (int slot = 0; slot < numSrcSlots; ++slot)
             rec.prod[slot] = c_.prod[slot][i];
         rec.execLat = c_.execLat[i];
@@ -157,6 +172,13 @@ class TraceSoA
     }
 
   private:
+    template <class T>
+    std::span<const T>
+    buildSpan(const T *col) const
+    {
+        return {col, hasBuildColumns() ? c_.size : 0};
+    }
+
     Columns c_;
     /** Backing storage the columns point into, when the view owns a
      *  share of it (a store mapping); null for a Trace's view. */

@@ -227,7 +227,10 @@ TraceStoreWriter::append(const Trace &chunk)
 {
     if (!ok() || finalized_)
         return false;
-    if (written_ + chunk.size() > capacity_) {
+    // A simulation-only chunk has no addresses or register names to
+    // store; writing zeros in their place would corrupt the store.
+    if (!chunk.hasBuildColumns() ||
+        written_ + chunk.size() > capacity_) {
         failed_ = true;
         return false;
     }
@@ -288,6 +291,8 @@ TraceStoreWriter::finalize()
 bool
 saveTraceStore(const Trace &trace, const std::string &path)
 {
+    if (!trace.hasBuildColumns())
+        return false;
     TraceStoreWriter writer(path, trace.size());
     return writer.append(trace) && writer.finalize();
 }
@@ -395,8 +400,8 @@ extractRegion(const TraceSoA &soa, std::uint64_t base,
         dst.assign(rows.begin(), rows.end());
     };
     Trace region;
+    region.buildColumns_ = false;
     copy(region.pc_, soa.pc());
-    copy(region.memAddr_, soa.memAddr());
     for (int slot = 0; slot < numSrcSlots; ++slot) {
         const InstId *src = soa.prod(slot).data() + base;
         std::vector<InstId> &dst = region.prod_[slot];
@@ -411,9 +416,6 @@ extractRegion(const TraceSoA &soa, std::uint64_t base,
     copy(region.cls_, soa.cls());
     copy(region.execLat_, soa.execLat());
     copy(region.flags_, soa.flags());
-    copy(region.dest_, soa.dest());
-    copy(region.src1_, soa.src1());
-    copy(region.src2_, soa.src2());
     releaseResidentPages(soa);
     return region;
 }

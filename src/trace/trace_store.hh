@@ -3,13 +3,15 @@
  * Trace store v2: a columnar, mmap-able binary trace format.
  *
  * The store writes a trace's columns themselves: the on-disk layout
- * after the header is the twelve columns a Trace holds (five 8-byte
- * columns, then seven byte columns, each 8-byte aligned), so loading
- * is one mmap + header validation and the mapping itself backs a
- * zero-copy TraceSoA. Pages are faulted in only as they are read, and
- * extractRegion drops them again once it has copied a region out, so
- * region sampling over a multi-hundred-MB store holds one region's
- * pages at a time, not every region it has sampled.
+ * after the header is the twelve columns a built Trace holds (five
+ * 8-byte columns, then seven byte columns, each 8-byte aligned), so
+ * loading is one mmap + header validation and the mapping itself
+ * backs a zero-copy TraceSoA. A simulation-only trace, which has
+ * dropped four of them, cannot be stored. Pages are faulted in only
+ * as they are read, and extractRegion drops them again once it has
+ * copied a region out, so region sampling over a multi-hundred-MB
+ * store holds one region's pages at a time, not every region it has
+ * sampled.
  *
  * Writing is streaming-friendly: TraceStoreWriter preallocates the
  * column layout for a declared capacity and pwrite()s each appended
@@ -81,7 +83,9 @@ class TraceStoreWriter
     /**
      * Append one chunk's columns as column slices. Producer links must
      * already be global (relative to the whole stored trace, not the
-     * chunk). Returns false on I/O error or capacity overflow.
+     * chunk). Returns false on I/O error, capacity overflow or a
+     * simulation-only chunk (one without its build columns); each
+     * fails the writer.
      */
     bool append(const Trace &chunk);
 
@@ -103,7 +107,8 @@ class TraceStoreWriter
 
 /**
  * Write a whole in-memory trace as one v2 store (the non-streaming
- * convenience path). @return true on success.
+ * convenience path). @return true on success; false, with no file
+ * written, for a simulation-only trace.
  */
 bool saveTraceStore(const Trace &trace, const std::string &path);
 
@@ -120,17 +125,19 @@ TraceIoStatus loadTraceStore(TraceSoA &soa, const std::string &path,
                              TraceStoreInfo *info = nullptr);
 
 /**
- * Copy rows [base, base+len) of a column view into a standalone
- * trace, column range by column range, remapping producer links into
- * region-local indices (links reaching before the region become
- * invalidInstId — the operand was ready at dispatch, exactly the
- * semantics of a link reaching before a trace window). A region of a
- * well-formed trace is wellFormed() and feeds TimingSim like any built
- * trace. For an mmap-backed view the copy faults in the touched rows'
- * pages, and then the whole mapping's resident pages are dropped
- * (madvise MADV_DONTNEED), so the process keeps the region, not the
- * store pages it came from; a later read of the view re-faults from
- * the page cache. A view of an in-memory Trace is left as it is.
+ * Copy rows [base, base+len) of a column view's eight simulation
+ * columns into a standalone simulation-only trace, column range by
+ * column range, remapping producer links into region-local indices
+ * (links reaching before the region become invalidInstId — the operand
+ * was ready at dispatch, exactly the semantics of a link reaching
+ * before a trace window). The view may itself be simulation-only. A
+ * region of a well-formed trace is wellFormed() and feeds TimingSim
+ * like any built trace. For an mmap-backed view the copy faults in
+ * the touched rows' pages, and then the whole mapping's resident
+ * pages are dropped (madvise MADV_DONTNEED), so the process keeps the
+ * region, not the store pages it came from; a later read of the view
+ * re-faults from the page cache. A view of an in-memory Trace is left
+ * as it is.
  */
 Trace extractRegion(const TraceSoA &soa, std::uint64_t base,
                     std::uint64_t len);

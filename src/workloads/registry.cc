@@ -4,6 +4,7 @@
 #include <array>
 #include <condition_variable>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -171,6 +172,90 @@ class StageThreads
     std::array<std::thread, 2> threads_;
 };
 
+/**
+ * The streaming build shared by the store and the in-memory simulation
+ * trace: emulate `name` in chunks of at most chunkInstructions, link
+ * and annotate each chunk, and hand the annotated chunks in order to
+ * `sink` on the calling thread. Three stages overlap on a fixed ring of
+ * three chunk buffers: emulation on one thread, producer linking plus
+ * branch and memory annotation on a second, and the sink on the
+ * caller's. Each pass's state lives across chunks and every stage takes
+ * the chunks in order, so the chunks concatenate to exactly what
+ * buildAnnotatedTrace builds, producer links included (they are
+ * global). A sink that returns false stops the build; both stage
+ * threads are stopped and joined before this returns. The stage
+ * threads open no host-prof scopes.
+ */
+void
+streamAnnotatedChunks(const std::string &name, const WorkloadConfig &cfg,
+                      std::uint64_t chunkInstructions,
+                      const MemoryModelConfig &mem, unsigned gshare_bits,
+                      const std::function<bool(const Trace &)> &sink)
+{
+    CSIM_ASSERT(chunkInstructions > 0);
+
+    PreparedWorkload w = workloadPreparer(name)(cfg);
+    Emulator &emu = *w.emulator;
+
+    StreamingProducerLinker linker;
+    GsharePredictor pred(gshare_bits);
+    Cache l1(mem.l1);
+
+    // Reserved on the calling thread before the stages start: malloc
+    // serves each thread from its own arena, and memory a stage thread
+    // allocated would stay in that arena after it is freed. Each slot
+    // gets cache lines of its own: a stage updates its chunk's column
+    // bookkeeping on every instruction, and slots sharing a line would
+    // bounce it between the stage threads.
+    struct alignas(64) RingSlot
+    {
+        Trace chunk;
+    };
+    std::array<RingSlot, ringDepth> ring;
+    for (RingSlot &r : ring)
+        r.chunk.reserve(
+            std::min(chunkInstructions, cfg.targetInstructions));
+    SlotQueue empty, emulated, annotated;
+    for (std::size_t slot = 0; slot < ringDepth; ++slot)
+        empty.push(slot);
+
+    StageThreads stages({&empty, &emulated, &annotated});
+    stages.start(0, [&] {
+        std::uint64_t emitted = 0;
+        std::size_t slot = 0;
+        while (emitted < cfg.targetInstructions && !emu.done() &&
+               empty.pop(slot)) {
+            const std::uint64_t want = std::min(
+                chunkInstructions, cfg.targetInstructions - emitted);
+            Trace &chunk = ring[slot].chunk;
+            chunk.clear();
+            if (emu.runChunk(chunk, want) == 0)
+                break;
+            emitted += chunk.size();
+            emulated.push(slot);
+        }
+        emulated.close();
+    });
+    stages.start(1, [&] {
+        InstId base = 0;
+        std::size_t slot = 0;
+        while (emulated.pop(slot)) {
+            Trace &chunk = ring[slot].chunk;
+            linker.link(chunk, base);
+            annotateBranches(chunk, pred);
+            annotateMemory(chunk, l1, mem);
+            base += chunk.size();
+            annotated.push(slot);
+        }
+        annotated.close();
+    });
+
+    std::size_t slot = 0;
+    while (annotated.pop(slot) && sink(ring[slot].chunk))
+        empty.push(slot);
+    stages.join();
+}
+
 } // anonymous namespace
 
 const std::vector<std::string> &
@@ -234,14 +319,30 @@ buildAnnotatedTrace(const std::string &name, const WorkloadConfig &cfg,
     return trace;
 }
 
-std::shared_ptr<const Trace>
-buildSharedAnnotatedTrace(const std::string &name,
-                          const WorkloadConfig &cfg,
-                          const MemoryModelConfig &mem,
-                          unsigned gshare_bits)
+Trace
+buildSimulationTrace(const std::string &name, const WorkloadConfig &cfg,
+                     const MemoryModelConfig &mem, unsigned gshare_bits)
 {
-    return std::make_shared<const Trace>(
-        buildAnnotatedTrace(name, cfg, mem, gshare_bits));
+    // One chunk's worth is built in place: a ring would cost two thread
+    // starts and two chunk copies for no overlap.
+    if (cfg.targetInstructions <= defaultChunkInstructions) {
+        Trace trace = buildAnnotatedTrace(name, cfg, mem, gshare_bits);
+        trace.dropBuildColumns();
+        return trace;
+    }
+    HOST_PROF_SCOPE("trace.build");
+    // Sized on the calling thread, where the sink appends, before the
+    // stages start (see streamAnnotatedChunks).
+    Trace trace;
+    trace.dropBuildColumns();
+    trace.reserve(cfg.targetInstructions);
+    streamAnnotatedChunks(name, cfg, defaultChunkInstructions, mem,
+                          gshare_bits, [&](const Trace &chunk) {
+                              trace.appendSimulationColumns(chunk);
+                              return true;
+                          });
+    HOST_PROF_INSTRUCTIONS(trace.size());
+    return trace;
 }
 
 TraceStoreBuildResult
@@ -251,76 +352,16 @@ buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,
                     const MemoryModelConfig &mem, unsigned gshare_bits)
 {
     HOST_PROF_SCOPE("trace.buildStore");
-    CSIM_ASSERT(chunkInstructions > 0);
-
-    PreparedWorkload w = workloadPreparer(name)(cfg);
-    Emulator &emu = *w.emulator;
     TraceStoreWriter writer(path, cfg.targetInstructions);
-
-    // Each pass's state lives across chunks, so chunked annotation
-    // replays the monolithic passes exactly (see buildAnnotatedTrace).
-    StreamingProducerLinker linker;
-    GsharePredictor pred(gshare_bits);
-    Cache l1(mem.l1);
-
-    // Reserved on the calling thread before the stages start: malloc
-    // serves each thread from its own arena, and memory a stage thread
-    // allocated would stay in that arena after it is freed. Each slot
-    // gets cache lines of its own: a stage updates its chunk's column
-    // bookkeeping on every instruction, and slots sharing a line would
-    // bounce it between the stage threads.
-    struct alignas(64) RingSlot
-    {
-        Trace chunk;
-    };
-    std::array<RingSlot, ringDepth> ring;
-    for (RingSlot &r : ring)
-        r.chunk.reserve(
-            std::min(chunkInstructions, cfg.targetInstructions));
-    SlotQueue empty, emulated, annotated;
-    for (std::size_t slot = 0; slot < ringDepth; ++slot)
-        empty.push(slot);
-
-    // Every stage takes the chunks in order and alone owns its pass
-    // state, so the store is the serial build's, byte for byte.
-    StageThreads stages({&empty, &emulated, &annotated});
-    stages.start(0, [&] {
-        std::uint64_t emitted = 0;
-        std::size_t slot = 0;
-        while (emitted < cfg.targetInstructions && !emu.done() &&
-               empty.pop(slot)) {
-            const std::uint64_t want = std::min(
-                chunkInstructions, cfg.targetInstructions - emitted);
-            Trace &chunk = ring[slot].chunk;
-            chunk.clear();
-            if (emu.runChunk(chunk, want) == 0)
-                break;
-            emitted += chunk.size();
-            emulated.push(slot);
-        }
-        emulated.close();
-    });
-    stages.start(1, [&] {
-        InstId base = 0;
-        std::size_t slot = 0;
-        while (emulated.pop(slot)) {
-            Trace &chunk = ring[slot].chunk;
-            linker.link(chunk, base);
-            annotateBranches(chunk, pred);
-            annotateMemory(chunk, l1, mem);
-            base += chunk.size();
-            annotated.push(slot);
-        }
-        annotated.close();
-    });
-
     TraceStoreBuildResult res;
-    std::size_t slot = 0;
-    while (annotated.pop(slot) && writer.append(ring[slot].chunk)) {
-        res.instructions += ring[slot].chunk.size();
-        empty.push(slot);
-    }
-    stages.join();
+    streamAnnotatedChunks(name, cfg, chunkInstructions, mem, gshare_bits,
+                          [&](const Trace &chunk) {
+                              if (!writer.append(chunk))
+                                  return false;
+                              res.instructions += chunk.size();
+                              return true;
+                          });
+    // A refused chunk failed the writer, so finalize() fails too.
     if (!writer.finalize())
         return res;
     HOST_PROF_INSTRUCTIONS(res.instructions);

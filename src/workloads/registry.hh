@@ -8,7 +8,7 @@
 #ifndef CSIM_WORKLOADS_REGISTRY_HH
 #define CSIM_WORKLOADS_REGISTRY_HH
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,8 +33,10 @@ Trace buildWorkloadTrace(const std::string &name,
                          const WorkloadConfig &cfg);
 
 /**
- * Build a simulation-ready trace: emulate, link producers, annotate
- * branch mispredictions (gshare) and load latencies (L1 model).
+ * Build a fully annotated trace, all twelve columns: emulate, link
+ * producers, annotate branch mispredictions (gshare) and load
+ * latencies (L1 model). This is the reference build: the store and
+ * simulation-only builds below reproduce its columns.
  */
 Trace buildAnnotatedTrace(const std::string &name,
                           const WorkloadConfig &cfg,
@@ -42,18 +44,27 @@ Trace buildAnnotatedTrace(const std::string &name,
                               MemoryModelConfig{},
                           unsigned gshare_bits = 16);
 
+/** Instructions per chunk of a streaming build: the store's default
+ *  chunk, and the largest trace buildSimulationTrace builds in
+ *  place. */
+inline constexpr std::uint64_t defaultChunkInstructions = 1u << 16;
+
 /**
- * Build an annotated trace into immutable shared storage. This is the
- * form the harness TraceCache hands to concurrently running experiment
- * cells: every consumer downstream of the annotation passes takes
- * `const Trace &`, so one build can back any number of cells.
+ * Build a simulation-only trace (Trace's class comment): the eight
+ * simulation columns of buildAnnotatedTrace's trace, 36 B/inst, with
+ * no build columns. This is the form the harness TraceCache holds and
+ * shares across concurrently running cells. A trace of at most one
+ * chunk (defaultChunkInstructions) is built in place and then drops
+ * its build columns. A longer one streams through the pipelined
+ * chunk build of buildTraceStoreFile, each annotated chunk's
+ * simulation columns appended as it lands, so full-length build
+ * columns are never allocated.
  */
-std::shared_ptr<const Trace>
-buildSharedAnnotatedTrace(const std::string &name,
-                          const WorkloadConfig &cfg,
-                          const MemoryModelConfig &mem =
-                              MemoryModelConfig{},
-                          unsigned gshare_bits = 16);
+Trace buildSimulationTrace(const std::string &name,
+                           const WorkloadConfig &cfg,
+                           const MemoryModelConfig &mem =
+                               MemoryModelConfig{},
+                           unsigned gshare_bits = 16);
 
 /** Outcome of a streaming store build. */
 struct TraceStoreBuildResult
@@ -65,23 +76,25 @@ struct TraceStoreBuildResult
 
 /**
  * Stream-build the annotated trace for a named workload directly into
- * a v2 trace store file. Three stages overlap on a fixed ring of three
- * chunk buffers: emulation on one thread, producer linking plus
- * branch and memory annotation on a second, and the store append on
- * the calling thread. Peak host memory is the three chunks plus the
- * writer's column staging, O(chunkInstructions), not
- * O(targetInstructions). Because every pass (linking, gshare, L1)
- * carries its state across chunks and every stage takes the chunks
- * in order, the stored trace is byte-identical to what
- * buildAnnotatedTrace would produce with the same arguments. A failed
- * write stops and joins both producer stages; the result then has
- * ok == false and counts the instructions written before the failing
- * chunk.
+ * a v2 trace store file, all twelve columns. Three stages overlap on a
+ * fixed ring of three chunk buffers: emulation on one thread, producer
+ * linking plus branch and memory annotation on a second, and the
+ * store append on the calling thread; buildSimulationTrace runs the
+ * same chunk loop with an in-memory sink. Peak host memory is the
+ * three chunks, 47 B per chunk instruction each, and no writer
+ * staging: O(chunkInstructions), not O(targetInstructions). Because
+ * every pass (linking, gshare, L1) carries its state across chunks
+ * and every stage takes the chunks in order, the stored trace is
+ * byte-identical to what buildAnnotatedTrace would produce with the
+ * same arguments. A failed write stops and joins both producer
+ * stages; the result then has ok == false and counts the
+ * instructions written before the failing chunk.
  */
 TraceStoreBuildResult
 buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,
                     const std::string &path,
-                    std::uint64_t chunkInstructions = 1u << 16,
+                    std::uint64_t chunkInstructions =
+                        defaultChunkInstructions,
                     const MemoryModelConfig &mem = MemoryModelConfig{},
                     unsigned gshare_bits = 16);
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared test helpers: machine-invariant validation of a timing-sim
- * result, used by the unit, integration and property suites.
+ * result, used by the unit, integration and property suites, and the
+ * heap reading the memory-bound tests take.
  */
 
 #ifndef CSIM_TESTS_SIM_CHECKS_HH
@@ -9,7 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <optional>
+
+#if __has_include(<malloc.h>)
+#include <malloc.h>
+#endif
 
 #include "core/machine_config.hh"
 #include "core/timing.hh"
@@ -17,6 +24,20 @@
 #include "trace/trace.hh"
 
 namespace csim {
+
+/** Heap bytes in use, small chunks plus mmap-ed blocks; nullopt where
+ *  glibc's mallinfo2 is unavailable. */
+inline std::optional<std::int64_t>
+heapInUse()
+{
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+    const struct mallinfo2 mi = ::mallinfo2();
+    return static_cast<std::int64_t>(mi.uordblks + mi.hblkhd);
+#else
+    return std::nullopt;
+#endif
+}
 
 /**
  * Check every microarchitectural invariant the clustered machine must

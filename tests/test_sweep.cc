@@ -1,8 +1,9 @@
 /**
  * @file
- * Sweep engine tests: TraceCache build-once/hit semantics,
- * SweepRunner determinism across thread counts (bit-identical
- * aggregates, including the merged stats snapshots), equivalence with
+ * Sweep engine tests: TraceCache build-once/hit semantics and its
+ * 36 B/inst simulation-only entries, SweepRunner determinism across
+ * thread counts (bit-identical aggregates, including the merged stats
+ * snapshots), equivalence with
  * the legacy sequential entry points, BenchContext's --threads front
  * end, and the fwdLatency independence of one-cluster jobs that
  * bench_latency_sweep's shared 1x8w baselines rest on.
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -27,6 +29,7 @@
 #include "harness/sweep.hh"
 #include "harness/trace_cache.hh"
 #include "obs/run_ledger.hh"
+#include "sim_checks.hh"
 
 namespace csim {
 namespace {
@@ -97,7 +100,8 @@ TEST(TraceCache, CachedTraceMatchesFreshBuild)
 
 TEST(TraceCache, BytesHeldIsColumnBytesOfCachedInstructions)
 {
-    // One copy per trace: 47 bytes per cached instruction, counted by
+    // One simulation-only copy per trace: 36 bytes per cached
+    // instruction (the eight simulation columns), counted by
     // bytesHeld() and the stats alike.
     TraceCache cache;
     std::uint64_t instructions = 0;
@@ -105,10 +109,35 @@ TEST(TraceCache, BytesHeldIsColumnBytesOfCachedInstructions)
     instructions += cache.get("mcf", smallWorkload(1, 3000))->size();
     instructions += cache.get("eon", smallWorkload(2, 2500))->size();
     (void)cache.get("gzip", smallWorkload(1));  // a hit adds nothing
-    EXPECT_EQ(cache.bytesHeld(), 47 * instructions);
+    EXPECT_EQ(cache.bytesHeld(), 36 * instructions);
     const StatsSnapshot snap = cache.statsSnapshot();
     EXPECT_EQ(snap.value("traceCache.bytesHeld"),
-              static_cast<double>(47 * instructions));
+              static_cast<double>(36 * instructions));
+}
+
+TEST(TraceCache, HeapHoldsOnlyTheSimulationColumns)
+{
+    // A trace past one chunk streams through the chunked build: once
+    // get() returns, the heap holds its 36 B/inst and nothing else per
+    // instruction. Full-length build columns (11 B/inst more) are
+    // never allocated, and the ring's chunks and the emulator are
+    // freed.
+    const WorkloadConfig wcfg = smallWorkload(1, 300000);
+    TraceCache cache;
+    const std::optional<std::int64_t> before = heapInUse();
+    if (!before)
+        GTEST_SKIP() << "mallinfo2 unavailable";
+    const std::shared_ptr<const Trace> trace = cache.get("gcc", wcfg);
+    const auto n = static_cast<std::int64_t>(trace->size());
+    ASSERT_EQ(n, 300000);
+    const std::int64_t grown = *heapInUse() - *before;
+    // An interposed allocator (ASan's, say) bypasses glibc's counters;
+    // a reading below the trace itself measures nothing.
+    if (grown < 36 * n)
+        GTEST_SKIP() << "mallinfo2 saw " << grown << " B, below the "
+                     << 36 * n << " B trace";
+    EXPECT_LE(grown, 36 * n + (std::int64_t{2} << 20))
+        << grown / n << " B/inst";
 }
 
 TEST(TraceCache, StatsSnapshotCarriesRegistry)
@@ -290,6 +319,19 @@ TEST(SweepRunner, RegionSampledRunsAreThreadCountInvariant)
     const SweepOutcome b = par.run(spec);
     ASSERT_EQ(a.results.size(), spec.cells.size());
     for (std::size_t i = 0; i < a.results.size(); ++i) {
+        // Both runners sample their regions off the simulation-only
+        // traces of a TraceCache; the cache-less reference samples the
+        // same regions off full reference builds, all twelve columns.
+        const SweepCell &cell = spec.cells[i];
+        AggregateResult full;
+        for (const std::uint64_t seed : spec.cfg.seeds) {
+            const Trace trace = buildAnnotatedTrace(
+                cell.workload, smallWorkload(seed, spec.cfg.instructions));
+            full.merge(runPolicyCell(trace, cell.machine, cell.policy,
+                                     spec.cfg));
+        }
+        expectResultsEqual(a.results[i], full);
+        expectPhasesEqual(a.results[i].phases, full.phases);
         expectResultsEqual(a.results[i], b.results[i]);
         expectPhasesEqual(a.results[i].phases, b.results[i].phases);
         // Two seeds x three regions of like-named phases fold into

@@ -12,10 +12,6 @@
 #include <optional>
 #include <string>
 
-#if __has_include(<malloc.h>)
-#include <malloc.h>
-#endif
-
 #include "core/timing_sim.hh"
 
 #include "emu/emulator.hh"
@@ -778,20 +774,6 @@ TEST(TimingSimRob, OddAndTinyRobGeometriesArePinned)
 // its 32 B timing record (the output) and the 2 B delivered-cluster
 // mask, which must outlive the producer because a value can be
 // consumed arbitrarily late. Everything else is sized by the machine.
-
-/** Heap bytes in use, small chunks plus mmap-ed blocks; nullopt where
- *  glibc's mallinfo2 is unavailable. */
-std::optional<std::int64_t>
-heapInUse()
-{
-#if defined(__GLIBC__) && \
-    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
-    const struct mallinfo2 mi = ::mallinfo2();
-    return static_cast<std::int64_t>(mi.uordblks + mi.hblkhd);
-#else
-    return std::nullopt;
-#endif
-}
 
 TEST(TimingSimMemory, ScratchIsBoundedByTheMachineNotTheTrace)
 {

@@ -119,8 +119,10 @@ TEST(TraceSoA, RoundTripsEveryRegisteredWorkload)
 TEST(TraceSoA, FootprintIsColumnBytesOnEveryProxy)
 {
     // Five 8-byte columns (pc, memAddr, three producers) and seven
-    // 1-byte ones: one copy, nothing else.
+    // 1-byte ones: one copy, nothing else. A simulation-only trace
+    // holds four of each: memAddr, dest, src1 and src2 are gone.
     EXPECT_EQ(Trace::bytesPerInstruction, 47u);
+    EXPECT_EQ(Trace::simulationBytesPerInstruction, 36u);
     for (const std::string &name : workloadNames()) {
         SCOPED_TRACE(name);
         WorkloadConfig wcfg;
@@ -132,6 +134,12 @@ TEST(TraceSoA, FootprintIsColumnBytesOnEveryProxy)
         // Taking a view costs nothing.
         (void)trace.soa();
         EXPECT_EQ(trace.footprintBytes(), 47 * trace.size());
+
+        const Trace sim = buildSimulationTrace(name, wcfg);
+        ASSERT_EQ(sim.size(), trace.size());
+        EXPECT_EQ(sim.footprintBytes(), 36 * sim.size());
+        (void)sim.soa();
+        EXPECT_EQ(sim.footprintBytes(), 36 * sim.size());
     }
 }
 

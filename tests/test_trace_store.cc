@@ -2,10 +2,12 @@
  * @file
  * Tests for the columnar v2 trace store: round-trip fidelity,
  * streaming-writer equivalence, the pipelined streaming build (every
- * proxy and chunk size, writer failures), region extraction, the
- * column-view simulation path, phased runs, region-sampling
- * determinism and residency, and hostile files (bad headers, bad
- * producer links).
+ * proxy and chunk size, writer failures), the simulation-only build
+ * that shares its chunk loop (across the one-chunk threshold, inside
+ * sweep workers, refused by the store and the build passes), region
+ * extraction, the column-view simulation path, phased runs,
+ * region-sampling determinism and residency, and hostile files (bad
+ * headers, bad producer links).
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 
 #include "core/timing_sim.hh"
 #include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "obs/host_prof.hh"
 #include "obs/run_ledger.hh"
 #include "policy/scheduling.hh"
@@ -103,12 +106,11 @@ countLinks(const TraceSoA &soa)
     return links;
 }
 
-/** All twelve stored columns. */
+/** The eight simulation columns. */
 void
-expectColumnsEqual(const TraceSoA &got, const TraceSoA &want)
+expectSimulationColumnsEqual(const TraceSoA &got, const TraceSoA &want)
 {
     expectColumnEqual(got.pc(), want.pc(), "pc");
-    expectColumnEqual(got.memAddr(), want.memAddr(), "memAddr");
     expectColumnEqual(got.prod(srcSlot1), want.prod(srcSlot1), "prod1");
     expectColumnEqual(got.prod(srcSlot2), want.prod(srcSlot2), "prod2");
     expectColumnEqual(got.prod(srcSlotMem), want.prod(srcSlotMem),
@@ -117,6 +119,14 @@ expectColumnsEqual(const TraceSoA &got, const TraceSoA &want)
     expectColumnEqual(got.cls(), want.cls(), "cls");
     expectColumnEqual(got.execLat(), want.execLat(), "execLat");
     expectColumnEqual(got.flags(), want.flags(), "flags");
+}
+
+/** All twelve stored columns. */
+void
+expectColumnsEqual(const TraceSoA &got, const TraceSoA &want)
+{
+    expectSimulationColumnsEqual(got, want);
+    expectColumnEqual(got.memAddr(), want.memAddr(), "memAddr");
     expectColumnEqual(got.dest(), want.dest(), "dest");
     expectColumnEqual(got.src1(), want.src1(), "src1");
     expectColumnEqual(got.src2(), want.src2(), "src2");
@@ -348,6 +358,9 @@ TEST(TraceStore, ExtractRegionRebasesProducerLinks)
     const Trace region = extractRegion(soa, base, len);
     ASSERT_EQ(region.size(), len);
     EXPECT_TRUE(region.wellFormed());
+    // A region is simulation-only: its build columns are not copied.
+    EXPECT_FALSE(region.hasBuildColumns());
+    EXPECT_EQ(region.footprintBytes(), 36 * len);
 
     std::uint64_t kept = 0;
     std::uint64_t in_rows = 0;
@@ -386,6 +399,143 @@ TEST(TraceStore, ExtractRegionClampsAtTraceEnd)
     EXPECT_TRUE(tail.wellFormed());
     const Trace whole = extractRegion(soa, 0, soa.size());
     EXPECT_EQ(whole.size(), original.size());
+}
+
+// ---------------------------------------------------------------- //
+// Simulation-only traces
+
+/** One cell simulated on each trace: equal cycles and stats digest. */
+void
+expectSameCell(const Trace &got, const Trace &want)
+{
+    ExperimentConfig cfg;
+    cfg.instructions = want.size();
+    const MachineConfig mc = MachineConfig::clustered(4);
+    const AggregateResult a =
+        runPolicyCell(got, mc, PolicyKind::Focused, cfg);
+    const AggregateResult b =
+        runPolicyCell(want, mc, PolicyKind::Focused, cfg);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(statsDigest(a.stats), statsDigest(b.stats));
+}
+
+/** buildSimulationTrace against the reference build. */
+void
+expectSimulationBuildMatches(const std::string &name,
+                             const WorkloadConfig &cfg)
+{
+    SCOPED_TRACE(name + " at " + std::to_string(cfg.targetInstructions));
+    const Trace reference = buildAnnotatedTrace(name, cfg);
+    const Trace sim = buildSimulationTrace(name, cfg);
+    ASSERT_EQ(sim.size(), reference.size());
+    EXPECT_FALSE(sim.hasBuildColumns());
+    EXPECT_EQ(sim.footprintBytes(), 36 * sim.size());
+    const TraceSoA got = sim.soa();
+    EXPECT_FALSE(got.hasBuildColumns());
+    EXPECT_TRUE(got.memAddr().empty());
+    EXPECT_TRUE(got.dest().empty());
+    EXPECT_TRUE(got.src1().empty());
+    EXPECT_TRUE(got.src2().empty());
+    expectSimulationColumnsEqual(got, reference.soa());
+    expectSameCell(sim, reference);
+}
+
+TEST(SimulationTrace, MatchesTheReferenceBuildAcrossTheChunkBoundary)
+{
+    // Every proxy within one chunk (built in place), then gcc and mcf
+    // at exactly one chunk, one instruction past it (the ring, with a
+    // one-instruction last chunk) and three chunks plus a short one.
+    WorkloadConfig cfg;
+    cfg.seed = 9;
+    cfg.targetInstructions = 3001;
+    for (const std::string &name : workloadNames())
+        expectSimulationBuildMatches(name, cfg);
+    for (const char *name : {"gcc", "mcf"}) {
+        for (const std::uint64_t n :
+             {defaultChunkInstructions, defaultChunkInstructions + 1,
+              std::uint64_t{200003}}) {
+            cfg.targetInstructions = n;
+            expectSimulationBuildMatches(name, cfg);
+        }
+    }
+}
+
+TEST(SimulationTrace, CachedBuildsInsideSweepWorkersMatchTheReference)
+{
+    // Two multi-chunk traces built at once through the runner's
+    // TraceCache: each build starts its two stage threads inside a
+    // sweep worker.
+    SweepSpec spec;
+    spec.cfg.instructions = defaultChunkInstructions + 4500;
+    spec.cfg.seeds = {4};
+    const MachineConfig mc = MachineConfig::clustered(2);
+    spec.addTiming("gcc", mc, PolicyKind::ModN);
+    spec.addTiming("mcf", mc, PolicyKind::ModN);
+    SweepRunner runner(4);
+    const SweepOutcome out = runner.run(spec);
+    EXPECT_EQ(runner.cache().builds(), 2u);
+
+    std::uint64_t held = 0;
+    for (std::size_t c = 0; c < spec.cells.size(); ++c) {
+        SCOPED_TRACE(spec.cells[c].workload);
+        WorkloadConfig wcfg;
+        wcfg.targetInstructions = spec.cfg.instructions;
+        wcfg.seed = 4;
+        const Trace reference =
+            buildAnnotatedTrace(spec.cells[c].workload, wcfg);
+        held += reference.size();
+        AggregateResult want;
+        want.merge(runPolicyCell(reference, mc, PolicyKind::ModN,
+                                 spec.cfg));
+        EXPECT_EQ(out.results[c].instructions, want.instructions);
+        EXPECT_EQ(out.results[c].cycles, want.cycles);
+        EXPECT_EQ(statsDigest(out.results[c].stats),
+                  statsDigest(want.stats));
+    }
+    EXPECT_EQ(runner.cache().bytesHeld(), 36 * held);
+}
+
+TEST(SimulationTrace, CannotBeStored)
+{
+    // No store is ever written with zeroed addresses and register
+    // names: saving a cached trace fails, and so does appending one to
+    // a streaming writer, which then stays failed.
+    TraceCache cache;
+    WorkloadConfig wcfg;
+    wcfg.targetInstructions = 2000;
+    wcfg.seed = 3;
+    const std::shared_ptr<const Trace> cached = cache.get("gzip", wcfg);
+    ASSERT_FALSE(cached->hasBuildColumns());
+    const std::string path = tempPath("simonly");
+    std::remove(path.c_str());
+    EXPECT_FALSE(saveTraceStore(*cached, path));
+    TraceSoA soa;
+    EXPECT_EQ(loadTraceStore(soa, path), TraceIoStatus::CannotOpen);
+
+    TraceStoreWriter writer(path, cached->size());
+    ASSERT_TRUE(writer.ok());
+    EXPECT_FALSE(writer.append(*cached));
+    EXPECT_FALSE(writer.ok());
+    EXPECT_FALSE(writer.finalize());
+    std::remove(path.c_str());
+}
+
+TEST(SimulationTraceDeath, BuildPassesRefuseIt)
+{
+    // Each pass that reads or writes the build columns names itself
+    // instead of reading a column that is not there.
+    WorkloadConfig wcfg;
+    wcfg.targetInstructions = 500;
+    wcfg.seed = 1;
+    Trace trace = buildSimulationTrace("mcf", wcfg);
+    EXPECT_DEATH(trace.linkProducers(),
+                 "StreamingProducerLinker::link: the trace is "
+                 "simulation-only");
+    EXPECT_DEATH(annotateMemory(trace),
+                 "annotateMemory: the trace is simulation-only");
+    EXPECT_DEATH(trace.append(TraceRecord{}),
+                 "Trace::append: the trace is simulation-only");
 }
 
 TEST(TraceStore, ColumnViewSimulatesIdentically)
