@@ -57,12 +57,6 @@ configDigest(const ExperimentConfig &cfg)
        << ";profile=" << cfg.profile.enabled << ','
        << cfg.profile.intervalCycles << ','
        << cfg.profile.scoreCriticality
-       << ";adaptive=" << cfg.adaptive.enabled << ','
-       << cfg.adaptive.intervalCycles << ','
-       << cfg.adaptive.reactionIntervals << ','
-       << cfg.adaptive.minDwellIntervals << ','
-       << cfg.adaptive.revertOnRegression << ','
-       << cfg.adaptive.regressionTolerance
        << ";regions=" << cfg.regions << ',' << cfg.regionLen << ','
        << cfg.regionWarmup;
     return fnvHex(fnv1a64(os.str()));
@@ -78,11 +72,6 @@ struct PolicyStack
     std::unique_ptr<OnlineCriticalityTrainer> trainer;
     std::unique_ptr<SteeringPolicy> steering;
     std::unique_ptr<SchedulingPolicy> scheduling;
-    /** Concrete-type views of steering/scheduling when the stack uses
-     *  the retunable policies (the adaptive manager's knob surface);
-     *  null for the baselines. */
-    UnifiedSteering *unified = nullptr;
-    LocScheduling *locSched = nullptr;
 };
 
 PolicyStack
@@ -103,22 +92,17 @@ makeStack(const Trace &trace, PolicyKind kind,
         s.steering = std::make_unique<AdaptiveClusterSteering>();
         s.scheduling = std::make_unique<AgeScheduling>();
         break;
-      case PolicyKind::Dep: {
-        auto steer = std::make_unique<UnifiedSteering>(
+      case PolicyKind::Dep:
+        s.steering = std::make_unique<UnifiedSteering>(
             UnifiedSteeringOptions{}, nullptr, nullptr);
-        s.unified = steer.get();
-        s.steering = std::move(steer);
         s.scheduling = std::make_unique<AgeScheduling>();
         break;
-      }
       case PolicyKind::Focused: {
         s.critPred = std::make_unique<CriticalityPredictor>();
         UnifiedSteeringOptions opt;
         opt.focusOnCritical = true;
-        auto steer = std::make_unique<UnifiedSteering>(
+        s.steering = std::make_unique<UnifiedSteering>(
             opt, s.critPred.get(), nullptr);
-        s.unified = steer.get();
-        s.steering = std::move(steer);
         s.scheduling =
             std::make_unique<CriticalScheduling>(*s.critPred);
         s.trainer = std::make_unique<OnlineCriticalityTrainer>(
@@ -138,13 +122,9 @@ makeStack(const Trace &trace, PolicyKind kind,
         opt.stallThreshold = cfg.stallThreshold;
         opt.proactiveLB =
             kind == PolicyKind::FocusedLocStallProactive;
-        auto steer = std::make_unique<UnifiedSteering>(
+        s.steering = std::make_unique<UnifiedSteering>(
             opt, s.critPred.get(), s.locPred.get());
-        s.unified = steer.get();
-        s.steering = std::move(steer);
-        auto sched = std::make_unique<LocScheduling>(*s.locPred);
-        s.locSched = sched.get();
-        s.scheduling = std::move(sched);
+        s.scheduling = std::make_unique<LocScheduling>(*s.locPred);
         s.trainer = std::make_unique<OnlineCriticalityTrainer>(
             trace, s.critPred.get(), s.locPred.get(), cfg.trainChunk);
         break;
@@ -258,24 +238,6 @@ runPolicy(const Trace &trace, const MachineConfig &machine,
             std::make_unique<IntervalProfiler>(machine, trace, popt);
         sim_options.observers.push_back(profiler.get());
     }
-    std::unique_ptr<AdaptiveManager> adaptive;
-    if (cfg.adaptive.enabled) {
-        AdaptiveManagerOptions aopt;
-        aopt.intervalCycles = cfg.adaptive.intervalCycles;
-        aopt.brain.reactionIntervals = cfg.adaptive.reactionIntervals;
-        aopt.brain.minDwellIntervals = cfg.adaptive.minDwellIntervals;
-        aopt.brain.revertOnRegression = cfg.adaptive.revertOnRegression;
-        aopt.brain.regressionTolerance = cfg.adaptive.regressionTolerance;
-        // Attached to the measured run only: the warmup passes above
-        // must train under the static knobs the measured run starts
-        // from. The baselines expose no knobs — the manager still
-        // attaches (classification stats stay meaningful) but has
-        // nothing to turn.
-        adaptive = std::make_unique<AdaptiveManager>(
-            machine, trace, aopt, stack.unified, stack.locSched,
-            stack.locPred.get());
-        sim_options.observers.push_back(adaptive.get());
-    }
 
     TimingSim sim(machine, trace, *stack.steering, *stack.scheduling,
                   stack.trainer.get(), sim_options);
@@ -288,10 +250,6 @@ runPolicy(const Trace &trace, const MachineConfig &machine,
         if (cfg.profile.scoreCriticality)
             scoreCriticalityPredictions(trace, out.sim, machine,
                                         cfg.trainChunk);
-    }
-    if (adaptive) {
-        out.adaptive = adaptive->summary();
-        out.adaptiveLane = adaptive->lanePoints();
     }
 
     if (checker) {
@@ -331,12 +289,6 @@ AggregateResult::merge(const AggregateResult &other)
     globalValues += other.globalValues;
     stats.merge(other.stats);
     intervals.merge(other.intervals);
-    adaptive.merge(other.adaptive);
-    // Lanes concatenate: each merged run keeps its own decision
-    // timeline, and the fixed merge order keeps the result identical
-    // at any sweep thread count.
-    adaptiveLane.insert(adaptiveLane.end(), other.adaptiveLane.begin(),
-                        other.adaptiveLane.end());
 
     // Like-shaped phase lists (every seed/region runs the same specs)
     // fold elementwise; anything else concatenates, which keeps the
@@ -569,8 +521,6 @@ runPolicyCell(const Trace &trace, const MachineConfig &machine,
                     run.breakdown, run.sim.globalValues,
                     run.sim.stats);
     agg.intervals = std::move(run.intervals);
-    agg.adaptive = run.adaptive;
-    agg.adaptiveLane = std::move(run.adaptiveLane);
     agg.phases = std::move(run.sim.phases);
     return agg;
 }

@@ -20,9 +20,7 @@
 #include "core/timing_sim.hh"
 #include "critpath/attribution.hh"
 #include "listsched/list_scheduler.hh"
-#include "obs/chrome_trace.hh"
 #include "obs/interval_profiler.hh"
-#include "policy/adaptive_manager.hh"
 #include "workloads/registry.hh"
 
 namespace csim {
@@ -90,28 +88,6 @@ struct ProfileConfig
     bool scoreCriticality = true;
 };
 
-/**
- * Closed-loop adaptive steering knobs (src/policy/adaptive_manager).
- * Off by default: an enabled manager attaches an interval watcher to
- * every measured run and retunes the live policy knobs at each
- * interval close. Bench binaries enable it with `--adaptive`.
- */
-struct AdaptiveConfig
-{
-    /** Attach an AdaptiveManager to every measured run. */
-    bool enabled = false;
-    /** Decision interval length in cycles. */
-    std::uint64_t intervalCycles = 2000;
-    /** Consecutive intervals before a phase transition is taken. */
-    unsigned reactionIntervals = 2;
-    /** Minimum intervals dwelt in a phase between transitions. */
-    unsigned minDwellIntervals = 3;
-    /** Undo a knob change whose probe window regressed CPI. */
-    bool revertOnRegression = true;
-    /** Fractional CPI worsening that counts as a regression. */
-    double regressionTolerance = 0.05;
-};
-
 struct ExperimentConfig
 {
     std::uint64_t instructions = 60000;
@@ -128,7 +104,18 @@ struct ExperimentConfig
     SimOptions simOptions = {};
     VerifyConfig verify = {};
     ProfileConfig profile = {};
-    AdaptiveConfig adaptive = {};
+
+    /**
+     * A constant, not a knob, kept for its one reader:
+     * benchmark/generator/traced.cc refuses `cfg.adaptive.enabled`
+     * cells. ROADMAP item 4's benchmark change drops that read and
+     * deletes this stub.
+     */
+    struct NoAdaptive
+    {
+        static constexpr bool enabled = false;
+    };
+    [[no_unique_address]] NoAdaptive adaptive;
 
     /**
      * SimPoint-style region sampling: instead of simulating the whole
@@ -152,8 +139,8 @@ struct ExperimentConfig
 /**
  * FNV-1a digest (16 hex digits) of an ExperimentConfig's canonical
  * rendering: every deterministic knob — instructions, seeds, warmup,
- * training, thresholds, verify/profile/adaptive/region settings, sim
- * options and phase specs — in a fixed order. Ledger jobBegin events
+ * training, thresholds, verify/profile/region settings, sim options
+ * and phase specs — in a fixed order. Ledger jobBegin events
  * carry this so a replayed run can prove it executed the same declared
  * experiment. Pointer-valued observer hooks are excluded (they do not
  * describe the experiment, only its instrumentation).
@@ -179,12 +166,6 @@ struct AggregateResult
     /** Interval time series, merged index-wise across seeds (empty
      *  unless cfg.profile.enabled). */
     IntervalSeries intervals;
-    /** Adaptive-manager aggregate (present() only when
-     *  cfg.adaptive.enabled; counters sum across seeds). */
-    AdaptiveSummary adaptive;
-    /** Adaptive decision lane, concatenated across seeds in the
-     *  deterministic merge order (Chrome trace export). */
-    std::vector<AdaptiveLanePoint> adaptiveLane;
     /**
      * Phase outcomes when phases (or region sampling) were configured.
      * Like-named phase lists merge elementwise across seeds/regions,
@@ -241,10 +222,6 @@ struct PolicyRun
     std::string checkerDetail;
     /** The measured run's interval series (cfg.profile.enabled). */
     IntervalSeries intervals;
-    /** Adaptive-manager outcome (cfg.adaptive.enabled). */
-    AdaptiveSummary adaptive;
-    /** Adaptive decision lane (cfg.adaptive.enabled). */
-    std::vector<AdaptiveLanePoint> adaptiveLane;
     /** Idle spans the measured run's skip-ahead jumped over (always 0
      *  under simOptions.legacyStep). */
     std::uint64_t skipSpans = 0;

@@ -213,11 +213,10 @@ usage(const std::string &benchmark, const char *bad_arg)
                  "usage: %s [--json <path>] [--instructions N] "
                  "[--seeds a,b,c] [--threads N] [--check]\n"
                  "       [--profile] [--profile-interval N] "
-                 "[--adaptive] [--adaptive-interval N]\n"
-                 "       [--trace-out <path>] [--ledger-out <path>] "
-                 "[--heartbeat-ms N]\n"
-                 "       [--stats-filter p1,p2] "
-                 "[--regions K --region-len N [--warmup N]]\n",
+                 "[--trace-out <path>]\n"
+                 "       [--ledger-out <path>] [--heartbeat-ms N] "
+                 "[--stats-filter p1,p2]\n"
+                 "       [--regions K --region-len N [--warmup N]]\n",
                  benchmark.c_str());
     if (bad_arg)
         CSIM_FATAL_F("%s: unknown or incomplete argument '%s'",
@@ -313,11 +312,6 @@ BenchContext::BenchContext(std::string benchmark, int argc, char **argv)
         } else if (arg == "--profile-interval") {
             profileInterval_ = number(UINT64_MAX);
             profile_ = true;
-        } else if (arg == "--adaptive") {
-            adaptive_ = true;
-        } else if (arg == "--adaptive-interval") {
-            adaptiveInterval_ = number(UINT64_MAX);
-            adaptive_ = true;
         } else if (arg == "--trace-out") {
             traceOutPath_ = next();
             profile_ = true;
@@ -415,11 +409,6 @@ BenchContext::apply(ExperimentConfig &cfg) const
         if (profileInterval_ != 0)
             cfg.profile.intervalCycles = profileInterval_;
     }
-    if (adaptive_) {
-        cfg.adaptive.enabled = true;
-        if (adaptiveInterval_ != 0)
-            cfg.adaptive.intervalCycles = adaptiveInterval_;
-    }
     if (regions_ != 0) {
         cfg.regions = regions_;
         cfg.regionLen = regionLen_;
@@ -437,13 +426,10 @@ void
 BenchContext::addRunStats(const std::string &label,
                           const StatsSnapshot &s,
                           const IntervalSeries &intervals,
-                          const std::vector<PhaseResult> &phases,
-                          const AdaptiveSummary &adaptive,
-                          const std::vector<AdaptiveLanePoint>
-                              &adaptiveLane)
+                          const std::vector<PhaseResult> &phases)
 {
-    runs_.push_back(RunEntry{label, s, intervals, phases, adaptive,
-                             adaptiveLane, RunHostMetrics{}});
+    runs_.push_back(RunEntry{label, s, intervals, phases,
+                             RunHostMetrics{}});
 }
 
 void
@@ -452,9 +438,7 @@ BenchContext::addSweepRuns(const SweepOutcome &outcome)
     for (std::size_t i = 0; i < outcome.cells.size(); ++i)
         addRunStats(outcome.cells[i].label(), outcome.results[i].stats,
                     outcome.results[i].intervals,
-                    outcome.results[i].phases,
-                    outcome.results[i].adaptive,
-                    outcome.results[i].adaptiveLane);
+                    outcome.results[i].phases);
 }
 
 void
@@ -522,33 +506,6 @@ writeIntervalSeries(JsonWriter &w, const IntervalSeries &series)
         w.endObject();
     }
     w.endArray();
-    w.endObject();
-}
-
-/** Serialize one run's adaptive-manager aggregate (schema v6). All
- *  fields are thread-count invariant: decisions derive only from the
- *  deterministic interval records, and the summary merges in the same
- *  fixed order as every other aggregate. */
-void
-writeAdaptive(JsonWriter &w, const AdaptiveSummary &a)
-{
-    w.beginObject();
-    w.key("runs").value(a.mergeCount);
-    w.key("intervals").value(a.intervals);
-    w.key("transitions").value(a.transitions);
-    w.key("reverts").value(a.reverts);
-    w.key("phases").beginObject();
-    for (std::size_t i = 0; i < numAdaptivePhases; ++i)
-        w.key(adaptivePhaseName(static_cast<AdaptivePhase>(i)))
-            .value(a.phaseIntervals[i]);
-    w.endObject();
-    // Knob values in force at run end, averaged over merged runs.
-    const double n = static_cast<double>(a.mergeCount);
-    w.key("finalKnobs").beginObject();
-    w.key("stallThreshold").value(a.stallThresholdSum / n);
-    w.key("locLowCutoff").value(a.locLowCutoffSum / n);
-    w.key("pressure").value(a.pressureSum / n);
-    w.endObject();
     w.endObject();
 }
 
@@ -642,12 +599,9 @@ BenchContext::finish()
     if (!traceOutPath_.empty()) {
         std::vector<ChromeTraceRun> trace_runs;
         for (const RunEntry &run : runs_) {
-            // A run with only an adaptive lane (adaptive on, profile
-            // off) still gets a process: the decision timeline stands
-            // on its own.
-            if (!run.intervals.empty() || !run.adaptiveLane.empty())
-                trace_runs.push_back(ChromeTraceRun{
-                    run.label, run.intervals, run.adaptiveLane});
+            if (!run.intervals.empty())
+                trace_runs.push_back(
+                    ChromeTraceRun{run.label, run.intervals});
         }
         writeChromeTraceFile(traceOutPath_, trace_runs);
         std::fprintf(stderr, "wrote %s\n", traceOutPath_.c_str());
@@ -736,10 +690,6 @@ BenchContext::finish()
         if (!run.intervals.empty()) {
             w.key("intervals");
             writeIntervalSeries(w, run.intervals);
-        }
-        if (run.adaptive.present()) {
-            w.key("adaptive");
-            writeAdaptive(w, run.adaptive);
         }
         if (run.host.wallSeconds > 0.0) {
             w.key("host");

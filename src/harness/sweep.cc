@@ -116,7 +116,6 @@ SweepCell::label() const
     out += '/';
     out += mode == CellMode::Timing ? policyName(policy)
                                     : priorityName(priority);
-    out += labelSuffix;
     return out;
 }
 

@@ -81,27 +81,6 @@ class EventList
     bool first_ = true;
 };
 
-/**
- * A merged cell's adaptive lane is the concatenation of its seed
- * runs' decision streams (AggregateResult::merge), each restarting at
- * cycle 0. Sub-lane count = number of those restarts, so every seed's
- * timeline gets its own non-overlapping track.
- */
-std::size_t
-adaptiveSubLanes(const ChromeTraceRun &run)
-{
-    std::size_t lanes = 0;
-    bool first = true;
-    Cycle prev = 0;
-    for (const AdaptiveLanePoint &p : run.adaptive) {
-        if (first || p.startCycle <= prev)
-            ++lanes;
-        first = false;
-        prev = p.startCycle;
-    }
-    return lanes;
-}
-
 void
 emitMetadata(EventList &ev, unsigned pid, const ChromeTraceRun &run)
 {
@@ -116,78 +95,6 @@ emitMetadata(EventList &ev, unsigned pid, const ChromeTraceRun &run)
                   << pid << ",\"tid\":" << c + 1
                   << ",\"args\":{\"name\":\"cluster" << c << "\"}";
         ev.endEvent();
-    }
-    const std::size_t lanes = adaptiveSubLanes(run);
-    for (std::size_t l = 0; l < lanes; ++l) {
-        std::ostream &os = ev.next();
-        os << "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-           << ",\"tid\":" << clusters + 1 + l
-           << ",\"args\":{\"name\":\"adaptive";
-        if (l)
-            os << " run" << l + 1;
-        os << "\"}";
-        ev.endEvent();
-    }
-}
-
-/**
- * Adaptive decision lane: one "X" slice per decision interval named by
- * the phase class (so the lane reads as a phase timeline), a "C"
- * counter track for the knob trajectories, and "i" instants marking
- * transitions and reverts. Rides on its own tracks after the cluster
- * lanes — one track per merged seed run (a merged cell's lane is the
- * seed runs' concatenated decision streams, each restarting at cycle
- * 0; a startCycle reset starts the next track). The knob counter
- * follows the first run only, so its trajectory stays monotonic in
- * time.
- */
-void
-emitAdaptiveLane(EventList &ev, unsigned pid, const ChromeTraceRun &run)
-{
-    if (run.adaptive.empty())
-        return;
-    const std::size_t clusters = run.series.records.empty() ?
-        0 : run.series.records.front().clusters.size();
-    std::uint64_t tid = clusters;
-    bool first = true;
-    Cycle prev_start = 0;
-    for (const AdaptiveLanePoint &p : run.adaptive) {
-        if (first || p.startCycle <= prev_start)
-            ++tid;
-        first = false;
-        prev_start = p.startCycle;
-        if (p.cycles == 0)
-            continue;
-        ev.next() << "\"name\":\"" << jsonEscape(p.phase)
-                  << "\",\"ph\":\"X\",\"pid\":" << pid
-                  << ",\"tid\":" << tid
-                  << ",\"ts\":" << p.startCycle
-                  << ",\"dur\":" << p.cycles
-                  << ",\"args\":{\"stallThreshold\":"
-                  << fixed3(p.stallThreshold)
-                  << ",\"locLowCutoff\":" << p.locLowCutoff
-                  << ",\"pressure\":" << fixed3(p.pressure) << "}";
-        ev.endEvent();
-        if (tid == clusters + 1) {
-            ev.next() << "\"name\":\"adaptiveKnobs\",\"ph\":\"C\","
-                      << "\"pid\":" << pid
-                      << ",\"tid\":0,\"ts\":" << p.startCycle
-                      << ",\"args\":{\"stallThreshold\":"
-                      << fixed3(p.stallThreshold)
-                      << ",\"locLowCutoff\":" << p.locLowCutoff
-                      << ",\"pressure\":" << fixed3(p.pressure) << "}";
-            ev.endEvent();
-        }
-        if (p.transitioned || p.reverted) {
-            ev.next() << "\"name\":\""
-                      << (p.reverted ? "revert" : "transition")
-                      << "\",\"ph\":\"i\",\"pid\":" << pid
-                      << ",\"tid\":" << tid
-                      << ",\"ts\":" << p.startCycle + p.cycles
-                      << ",\"s\":\"t\",\"args\":{\"phase\":\""
-                      << jsonEscape(p.phase) << "\"}";
-            ev.endEvent();
-        }
     }
 }
 
@@ -273,7 +180,6 @@ writeChromeTrace(std::ostream &os,
         emitMetadata(ev, pid, run);
         emitClusterSlices(ev, pid, run);
         emitCounters(ev, pid, run);
-        emitAdaptiveLane(ev, pid, run);
         ++pid;
     }
     ev.finish();

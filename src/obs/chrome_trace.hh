@@ -26,34 +26,11 @@
 
 namespace csim {
 
-/**
- * One adaptive-manager decision as a timeline lane point. A plain
- * obs-layer mirror of the policy layer's decision record (obs sits
- * below policy in the link order, so the policy types are not
- * reachable from here).
- */
-struct AdaptiveLanePoint
-{
-    /** First cycle of the interval the decision closed. */
-    Cycle startCycle = 0;
-    std::uint64_t cycles = 0;
-    /** Phase-class name ("smooth", "memory", ...). */
-    std::string phase;
-    double stallThreshold = 0.0;
-    std::uint64_t locLowCutoff = 0;
-    /** Proactive pressure gate as a fraction of window capacity. */
-    double pressure = 0.0;
-    bool transitioned = false;
-    bool reverted = false;
-};
-
 /** One run's series plus its display label ("gcc/4x2w/focused"). */
 struct ChromeTraceRun
 {
     std::string label;
     IntervalSeries series;
-    /** Adaptive decision lane; empty when the run was static. */
-    std::vector<AdaptiveLanePoint> adaptive;
 };
 
 /**

@@ -8,6 +8,18 @@ namespace csim {
 
 namespace {
 
+/**
+ * Proactive pushing engages only when the producer cluster's window
+ * occupancy reaches pressureNum/pressureDen of capacity (integer
+ * ratio: the gate stays exact at every window size).
+ */
+constexpr unsigned pressureNum = 3;
+constexpr unsigned pressureDen = 4;
+
+/** A consumer this likely to be critical is always kept with its
+ *  producer, whatever the producer's own LoC. */
+constexpr double keepAbsoluteLoc = 0.30;
+
 /** Snapshot the predictions for a steer decision. */
 void
 snapshotPredictions(SteerDecision &d, const TraceRecord &rec,
@@ -251,8 +263,8 @@ UnifiedSteering::steer(const CoreView &view, const SteerRequest &req)
     // pressure; with a lightly loaded window, collocation is free and
     // pushing can only add forwarding delay (the hammock trap).
     const bool producer_pressured =
-        view.windowOccupancy(prod.cluster) * options_.pressureDen >=
-        view.config().windowPerCluster * options_.pressureNum;
+        view.windowOccupancy(prod.cluster) * pressureDen >=
+        view.config().windowPerCluster * pressureNum;
 
     if (options_.proactiveLB && producer_pressured) {
         const bool candidate =
@@ -260,16 +272,19 @@ UnifiedSteering::steer(const CoreView &view, const SteerRequest &req)
         const bool already_followed = followed_[prod.id];
         bool keep = false;
         if (locPred_) {
-            // Integer-level comparison with one level of slack: the
-            // 16-level stratification makes an exact "half the
-            // producer's LoC" test flicker for near-critical consumers
-            // (hammock arms), and a wrongly pushed arm costs the
-            // convergence point a forwarding delay on every instance.
+            // LoC override: keep the consumer when its level c is at
+            // least 1 and 2c + 1 >= p, the producer's level (half the
+            // producer's LoC, with one level of slack), or when its
+            // own estimate reaches keepAbsoluteLoc. The slack matters:
+            // the 16-level stratification makes an exact half test
+            // flicker for near-critical consumers (hammock arms), and
+            // a wrongly pushed arm costs the convergence point a
+            // forwarding delay on every instance.
             const unsigned c_lvl = locPred_->level(rec.pc);
             const unsigned p_lvl =
                 locPred_->level(view.pcOf(prod.id));
             keep = (c_lvl >= 1 && 2 * c_lvl + 1 >= p_lvl) ||
-                loc_est >= options_.keepAbsoluteLoc;
+                loc_est >= keepAbsoluteLoc;
         }
         // The probabilistic LoC levels are noisy (binomial stationary
         // distribution); the 6-bit binary predictor's +8/-1 hysteresis

@@ -58,22 +58,9 @@ struct UnifiedSteeringOptions
      *  with LoC >= stallThreshold cannot join its producer. */
     bool stallOverSteer = false;
     double stallThreshold = 0.30;
-    /** Push not-most-critical consumers away from their producers. */
+    /** Push not-most-critical consumers away from their producers
+     *  once the producer's cluster is under window pressure. */
     bool proactiveLB = false;
-    /** Proactive-LB override: keep a consumer with LoC above this... */
-    double overrideMinLoc = 0.05;
-    /** ...and at least this fraction of its producer's LoC. */
-    double overrideProducerFraction = 0.5;
-    /** A consumer this likely to be critical is always kept with its
-     *  producer, whatever the producer's own LoC. */
-    double keepAbsoluteLoc = 0.30;
-    /**
-     * Proactive pushing engages only when the producer cluster's
-     * window occupancy reaches pressureNum/pressureDen of capacity
-     * (integer ratio: the gate stays exact at every window size).
-     */
-    unsigned pressureNum = 3;
-    unsigned pressureDen = 4;
 };
 
 /**
@@ -114,35 +101,11 @@ class UnifiedSteering : public SteeringPolicy
                       const TraceRecord &rec) override;
     const char *name() const override { return name_.c_str(); }
 
-    // --- Live retune surface (adaptive manager) ----------------- //
-    // Plain setters are thread-safe by construction: a sim runs on
-    // exactly one thread and sweeps parallelize across whole runs,
-    // so a knob is only ever written by the thread reading it.
-
-    /** Retune the stall-over-steer LoC cutoff mid-run. */
-    void
-    setStallThreshold(double threshold)
-    {
-        options_.stallThreshold = threshold;
-    }
-    double stallThreshold() const { return options_.stallThreshold; }
-
-    /** Retune the proactive-LB pressure gate to num/den occupancy. */
-    void
-    setProactivePressure(unsigned num, unsigned den)
-    {
-        CSIM_ASSERT(den > 0 && num <= den);
-        options_.pressureNum = num;
-        options_.pressureDen = den;
-    }
-    unsigned pressureNum() const { return options_.pressureNum; }
-    unsigned pressureDen() const { return options_.pressureDen; }
-
   private:
     /** Least-occupied cluster that has a free window entry. */
     static ClusterId leastLoaded(const CoreView &view);
 
-    UnifiedSteeringOptions options_;
+    const UnifiedSteeringOptions options_;
     const CriticalityPredictor *critPred_;
     const LocPredictor *locPred_;
     std::string name_;

@@ -38,9 +38,6 @@ void
 LocPredictor::train(Addr pc, bool critical)
 {
     table_[index(pc)].train(critical, rng_);
-    ++trains_;
-    if (critical)
-        ++trainsCritical_;
     if (statTrains_) {
         ++*statTrains_;
         if (critical)
@@ -63,8 +60,6 @@ LocPredictor::reset()
 {
     for (ProbCounter &c : table_)
         c.reset();
-    trains_ = 0;
-    trainsCritical_ = 0;
 }
 
 } // namespace csim

@@ -48,12 +48,6 @@ class LocPredictor
 
     unsigned levels() const { return params_.levels; }
 
-    /** Live telemetry: dynamic instances trained since reset().
-     *  Read by the adaptive manager at interval closes. */
-    std::uint64_t trains() const { return trains_; }
-    /** Of those, instances whose detected outcome was critical. */
-    std::uint64_t trainsCritical() const { return trainsCritical_; }
-
     void reset();
 
   private:
@@ -66,8 +60,6 @@ class LocPredictor
 
     Counter *statTrains_ = nullptr;
     Counter *statTrainCritical_ = nullptr;
-    std::uint64_t trains_ = 0;
-    std::uint64_t trainsCritical_ = 0;
 };
 
 } // namespace csim

@@ -15,9 +15,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -247,23 +250,57 @@ TEST(RunLedger, StatsDigestCommitsToEveryStat)
 
 TEST(RunLedger, ConfigDigestTracksEveryKnob)
 {
-    ExperimentConfig cfg = smallConfig();
+    const ExperimentConfig cfg = smallConfig();
     const std::string base = configDigest(cfg);
     EXPECT_EQ(base.size(), 16u);
     EXPECT_EQ(base, configDigest(cfg));
-    ExperimentConfig other = cfg;
-    other.instructions += 1;
-    EXPECT_NE(base, configDigest(other));
-    other = cfg;
-    other.seeds.push_back(9);
-    EXPECT_NE(base, configDigest(other));
-    other = cfg;
-    other.adaptive.enabled = true;
-    EXPECT_NE(base, configDigest(other));
-    other = cfg;
-    other.regions = 4;
-    other.regionLen = 100;
-    EXPECT_NE(base, configDigest(other));
+
+    // One change per deterministic field; every digest must differ
+    // from the base and from every other change's.
+    using Knob = std::pair<const char *,
+                           std::function<void(ExperimentConfig &)>>;
+    const std::vector<Knob> knobs = {
+        {"instructions", [](ExperimentConfig &c) { c.instructions += 1; }},
+        {"seeds", [](ExperimentConfig &c) { c.seeds.push_back(9); }},
+        {"warmupRuns", [](ExperimentConfig &c) { c.warmupRuns += 1; }},
+        {"trainChunk", [](ExperimentConfig &c) { c.trainChunk += 1; }},
+        {"stallThreshold",
+         [](ExperimentConfig &c) { c.stallThreshold += 0.05; }},
+        {"locLevels", [](ExperimentConfig &c) { c.locLevels = 8; }},
+        {"collectIlp",
+         [](ExperimentConfig &c) { c.simOptions.collectIlp = true; }},
+        {"legacyStep",
+         [](ExperimentConfig &c) { c.simOptions.legacyStep = true; }},
+        {"ilpMaxAvailable",
+         [](ExperimentConfig &c) { c.simOptions.ilpMaxAvailable += 1; }},
+        {"maxCpi", [](ExperimentConfig &c) { c.simOptions.maxCpi += 1; }},
+        {"phases",
+         [](ExperimentConfig &c) {
+             c.simOptions.phases = {{"warmup", 100, true},
+                                    {"measure", 0, false}};
+         }},
+        {"checker", [](ExperimentConfig &c) { c.verify.checker = true; }},
+        {"oracle", [](ExperimentConfig &c) { c.verify.oracle = true; }},
+        {"oracleRelTol",
+         [](ExperimentConfig &c) { c.verify.oracleRelTol += 0.01; }},
+        {"panicOnViolation",
+         [](ExperimentConfig &c) { c.verify.panicOnViolation = false; }},
+        {"profile", [](ExperimentConfig &c) { c.profile.enabled = true; }},
+        {"intervalCycles",
+         [](ExperimentConfig &c) { c.profile.intervalCycles += 1; }},
+        {"scoreCriticality",
+         [](ExperimentConfig &c) { c.profile.scoreCriticality = false; }},
+        {"regions", [](ExperimentConfig &c) { c.regions = 4; }},
+        {"regionLen", [](ExperimentConfig &c) { c.regionLen = 100; }},
+        {"regionWarmup", [](ExperimentConfig &c) { c.regionWarmup = 50; }},
+    };
+    std::set<std::string> seen = {base};
+    for (const auto &[name, change] : knobs) {
+        SCOPED_TRACE(name);
+        ExperimentConfig other = cfg;
+        change(other);
+        EXPECT_TRUE(seen.insert(configDigest(other)).second);
+    }
 }
 
 TEST(RunLedger, ReplayCommandQuoting)
@@ -498,9 +535,8 @@ TEST(BenchContextLedgerDeathTest, SignedPaddedOrOverflowingNumberIsFatal)
     // strtoull would negate "-1" into 2^64-1, skip the blank of " 5"
     // and saturate 2^64: every numeric flag must reject all four.
     const char *flags[] = {"--instructions", "--seeds",
-                           "--profile-interval", "--adaptive-interval",
-                           "--region-len", "--warmup", "--heartbeat-ms",
-                           "--regions"};
+                           "--profile-interval", "--region-len",
+                           "--warmup", "--heartbeat-ms", "--regions"};
     const char *values[] = {"-1", "+1", " 5", "18446744073709551616"};
     for (const char *flag : flags) {
         for (const char *value : values) {
@@ -511,6 +547,20 @@ TEST(BenchContextLedgerDeathTest, SignedPaddedOrOverflowingNumberIsFatal)
                 std::string("bad ") + flag);
         }
     }
+}
+
+TEST(BenchContextLedgerDeathTest, RemovedAdaptiveFlagsAreFatal)
+{
+    // Flags of the deleted adaptive steering manager fail loudly
+    // rather than parse into a silently static run.
+    const char *argv[] = {"bench", "--adaptive"};
+    EXPECT_DEATH(BenchContext("bench", 2, const_cast<char **>(argv)),
+                 "unknown or incomplete argument '--adaptive'");
+    const char *argv_interval[] = {"bench", "--adaptive-interval",
+                                   "1000"};
+    EXPECT_DEATH(
+        BenchContext("bench", 3, const_cast<char **>(argv_interval)),
+        "unknown or incomplete argument '--adaptive-interval'");
 }
 
 TEST(BenchContextLedger, NumericFlagsAcceptTheirRange)

@@ -341,9 +341,9 @@ TEST(IntervalProfiler, SweepIntervalsIdenticalAcrossThreadCounts)
     for (std::size_t i = 0; i < one.results.size(); ++i) {
         ASSERT_FALSE(one.results[i].intervals.empty());
         runs_one.push_back(ChromeTraceRun{one.cells[i].label(),
-                                          one.results[i].intervals, {}});
+                                          one.results[i].intervals});
         runs_four.push_back(ChromeTraceRun{four.cells[i].label(),
-                                           four.results[i].intervals, {}});
+                                           four.results[i].intervals});
     }
     // Byte-identical once rendered — the acceptance criterion.
     EXPECT_EQ(seriesFingerprint(runs_one),
@@ -370,8 +370,7 @@ TEST(ChromeTrace, StructureAndDeterminism)
         runPolicy(trace, machine, PolicyKind::Focused, cfg);
 
     std::vector<ChromeTraceRun> runs;
-    runs.push_back(
-        ChromeTraceRun{"gzip/2x4w/focused", run.intervals, {}});
+    runs.push_back(ChromeTraceRun{"gzip/2x4w/focused", run.intervals});
     std::ostringstream os;
     writeChromeTrace(os, runs);
     const std::string trace_json = os.str();

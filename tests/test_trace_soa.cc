@@ -4,8 +4,8 @@
  * skip-ahead that consumes it: record <-> column round-trips over
  * every registered workload, footprint accounting, copy independence,
  * and skip-vs-dense equality on synthetic sparse traces where the skip
- * path must actually engage and on every proxy with the checker, the
- * interval profiler and the adaptive manager observing.
+ * path must actually engage and on every proxy with the checker and
+ * the interval profiler observing.
  */
 
 #include <gtest/gtest.h>
@@ -286,16 +286,16 @@ expectSnapshotsEq(const StatsSnapshot &skip, const StatsSnapshot &dense)
 }
 
 /**
- * Run one observed cell (live checker + interval profiler, plus
- * whatever `cfg` adds) on the skip-ahead loop and again with the idle
- * probe off; observers must see the same cycles either way. Returns
- * the cycles the observed run skipped.
+ * Run one observed cell (live checker + interval profiler) on the
+ * skip-ahead loop and again with the idle probe off; observers must
+ * see the same cycles either way. Returns the cycles the observed run
+ * skipped.
  */
 std::uint64_t
 checkObservedSkipMatchesDense(const Trace &trace,
-                              const MachineConfig &config,
-                              ExperimentConfig cfg)
+                              const MachineConfig &config)
 {
+    ExperimentConfig cfg;
     cfg.verify.checker = true;
     cfg.verify.panicOnViolation = false;
     cfg.profile.enabled = true;
@@ -328,28 +328,9 @@ TEST(SkipAhead, ObservedRunsMatchDenseOnEveryProxy)
                 MachineConfig::clustered(clusters);
             SCOPED_TRACE(name + "/" + config.name());
             // Attached observers must not stop the skip-ahead.
-            EXPECT_GT(
-                checkObservedSkipMatchesDense(trace, config, {}), 0u);
+            EXPECT_GT(checkObservedSkipMatchesDense(trace, config), 0u);
         }
     }
-}
-
-TEST(SkipAhead, AdaptiveRunMatchesDense)
-{
-    // The manager retunes live policy knobs at interval closes, so any
-    // hook a skipped span dropped or reordered would change decisions.
-    WorkloadConfig wcfg;
-    wcfg.targetInstructions = 4000;
-    wcfg.seed = 1;
-    const Trace trace = buildAnnotatedTrace("mcf", wcfg);
-    ExperimentConfig cfg;
-    cfg.adaptive.enabled = true;
-    cfg.adaptive.intervalCycles = 256;
-    cfg.adaptive.reactionIntervals = 1;
-    cfg.adaptive.minDwellIntervals = 1;
-    EXPECT_GT(checkObservedSkipMatchesDense(
-                  trace, MachineConfig::clustered(4), cfg),
-              0u);
 }
 
 } // anonymous namespace

@@ -22,7 +22,6 @@ Schema (see src/harness/json_report.hh, docs/SCHEMA.md and README
     "runs":    [{"label": str, "stats": {name: num | distribution},
                  "phases": [...],                # phased runs
                  "intervals": {...},             # profiled runs
-                 "adaptive": {...},              # adaptive runs
                  "host": {...}}],                # measured runs
     "host":    {...}                             # optional
   }
@@ -34,12 +33,9 @@ Only "cmdline" and "env" describe the invocation itself (and so vary
 between otherwise-identical runs); the rest — including the trace
 content hashes — belongs to the report's deterministic region.
 
-A run's "adaptive" object (present on runs steered by the
-closed-loop adaptive manager) is {"runs": uint >= 1, "intervals",
-"transitions" <= intervals, "reverts" <= transitions,
-"phases": {"smooth", "memory", "steer", "imbalance", "contention"}
-(summing to intervals), "finalKnobs": {"stallThreshold" in [0,1],
-"locLowCutoff" >= 0, "pressure" in (0,1]}}.
+A run entry carries no key outside {"label", "stats", "phases",
+"intervals", "host"}; any other (a stale report's "adaptive" block,
+say) fails with one line naming it.
 
 A run's "phases" list (present on runs with warmup/measure phases
 or region sampling) holds {"name": str, "isWarmup": bool,
@@ -187,49 +183,8 @@ def check_phases(where, phases):
         require(p["cpi"] >= 0, f"{pwhere}.cpi must be >= 0")
 
 
-ADAPTIVE_PHASE_KEYS = {"smooth", "memory", "steer", "imbalance",
-                       "contention"}
-
-
-def check_adaptive(where, a):
-    require(isinstance(a, dict), f"{where}: not an object")
-    require(set(a.keys()) == {"runs", "intervals", "transitions",
-                              "reverts", "phases", "finalKnobs"},
-            f"{where}: keys {sorted(a.keys())} are not the adaptive "
-            f"schema")
-    for k in ("runs", "intervals", "transitions", "reverts"):
-        check_uint(a[k], f"{where}.{k}")
-    require(a["runs"] >= 1, f"{where}.runs must be >= 1")
-    require(a["transitions"] <= a["intervals"],
-            f"{where}: {a['transitions']} transitions exceed "
-            f"{a['intervals']} intervals")
-    require(a["reverts"] <= a["transitions"],
-            f"{where}: {a['reverts']} reverts exceed "
-            f"{a['transitions']} transitions")
-    phases = a["phases"]
-    require(isinstance(phases, dict), f"{where}.phases: not an object")
-    require(set(phases.keys()) == ADAPTIVE_PHASE_KEYS,
-            f"{where}.phases keys {sorted(phases.keys())} != "
-            f"{sorted(ADAPTIVE_PHASE_KEYS)}")
-    for k, v in phases.items():
-        check_uint(v, f"{where}.phases.{k}")
-    require(sum(phases.values()) == a["intervals"],
-            f"{where}.phases sum to {sum(phases.values())}, not the "
-            f"{a['intervals']} observed intervals")
-    knobs = a["finalKnobs"]
-    require(isinstance(knobs, dict),
-            f"{where}.finalKnobs: not an object")
-    require(set(knobs.keys()) == {"stallThreshold", "locLowCutoff",
-                                  "pressure"},
-            f"{where}.finalKnobs keys {sorted(knobs.keys())} are not "
-            f"the knob schema")
-    for k, v in knobs.items():
-        check_number(v, f"{where}.finalKnobs.{k}")
-        require(v >= 0, f"{where}.finalKnobs.{k} must be >= 0")
-    require(0 <= knobs["stallThreshold"] <= 1,
-            f"{where}.finalKnobs.stallThreshold must lie in [0, 1]")
-    require(0 < knobs["pressure"] <= 1,
-            f"{where}.finalKnobs.pressure must lie in (0, 1]")
+# Every key a run entry may carry; "label" and "stats" are required.
+RUN_KEYS = {"label", "stats", "phases", "intervals", "host"}
 
 
 def check_run_host(where, h):
@@ -384,6 +339,11 @@ def check_report(path, min_stats, require_host=False):
                 isinstance(run.get("label"), str) and
                 isinstance(run.get("stats"), dict),
                 f"runs[{i}]: needs string 'label' and object 'stats'")
+        stray_keys = sorted(set(run) - RUN_KEYS)
+        require(not stray_keys,
+                f"runs[{i}] ('{run['label']}'): key "
+                f"'{stray_keys[0] if stray_keys else ''}' is not in "
+                f"the run schema {sorted(RUN_KEYS)}")
         if run["label"] == "traceCache":
             # The trace cache's activity counters, not a simulated
             # run: the per-run floor does not apply, but nothing else
@@ -404,8 +364,6 @@ def check_report(path, min_stats, require_host=False):
             check_phases(f"runs[{i}].phases", run["phases"])
         if "intervals" in run:
             check_intervals(f"runs[{i}].intervals", run["intervals"])
-        if "adaptive" in run:
-            check_adaptive(f"runs[{i}].adaptive", run["adaptive"])
         if "host" in run:
             check_run_host(f"runs[{i}].host", run["host"])
 

@@ -7,8 +7,8 @@ Checks the JSON object format emitted by src/obs/chrome_trace.cc
 (loadable in chrome://tracing and Perfetto):
 
   * top level is {"displayTimeUnit": ..., "traceEvents": [...]}
-  * every event is an object with string "ph" and "name" and integer
-    "pid"/"tid"
+  * every event is an object with string "name", a "ph" of "M", "X"
+    or "C" (the writer emits no other phase), and integer "pid"/"tid"
   * metadata ("M") events carry args.name; every pid has a
     process_name and every (pid, tid>0) used by a slice has a
     thread_name
@@ -16,9 +16,6 @@ Checks the JSON object format emitted by src/obs/chrome_trace.cc
     slices on one track do not overlap
   * counter ("C") events carry a flat numeric args object; "cpiStack"
     counters carry exactly the CPI-stack component keys
-  * instant ("i") events — the adaptive lane's transition/revert
-    markers — carry integer ts >= 0, a valid scope "s", and a
-    "transition" or "revert" name
 
 Exits non-zero on the first malformed trace.
 """
@@ -51,7 +48,7 @@ def check_event_common(i, ev):
     require(isinstance(ev, dict), f"{where}: not an object")
     require(isinstance(ev.get("name"), str) and ev["name"],
             f"{where}: missing string 'name'")
-    require(ev.get("ph") in ("M", "X", "C", "i"),
+    require(ev.get("ph") in ("M", "X", "C"),
             f"{where}: unexpected phase {ev.get('ph')!r}")
     check_uint(ev.get("pid"), f"{where}.pid")
     check_uint(ev.get("tid"), f"{where}.tid")
@@ -96,12 +93,6 @@ def check_trace(path):
                     f"{where}: slice needs an args object")
             slice_tracks.setdefault((ev["pid"], ev["tid"]), []).append(
                 (ev["ts"], ev["dur"], where))
-        elif ph == "i":
-            check_uint(ev.get("ts"), f"{where}.ts")
-            require(ev.get("s") in ("t", "p", "g"),
-                    f"{where}: instant needs scope s in t/p/g")
-            require(ev["name"] in ("transition", "revert"),
-                    f"{where}: unknown instant event '{ev['name']}'")
         else:  # "C"
             check_uint(ev.get("ts"), f"{where}.ts")
             args = ev.get("args")

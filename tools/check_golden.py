@@ -43,7 +43,6 @@ COMMON_ARGS = ["--instructions", "4000", "--seeds", "1,2"]
 BENCHES = [
     "bench_fig14_policies",
     "bench_fig4_focused --profile",
-    "bench_adaptive",
     "bench_ablation --check",
     "bench_cluster_sweep --check",
     "bench_fig4_focused --check",

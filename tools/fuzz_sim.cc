@@ -314,42 +314,6 @@ checkStoreRoundTrip(const Trace &trace, const MachineConfig &config,
     return "";
 }
 
-/**
- * Adaptive-manager leg: rerun the case with the closed-loop manager
- * retuning the policy knobs on a short interval (reaction latency and
- * dwell forced to 1 so transitions actually fire at fuzz trace sizes),
- * under the live checker. Mid-run knob changes must not break any
- * pipeline invariant, and the skip-ahead run must agree bit for bit
- * with the same run stepped densely — the manager's decisions are a
- * pure function of the interval records, which skipped spans must
- * reproduce exactly. Exercises the retune surface on every policy
- * stack, including those with no knobs to turn (ModN, LoadBal).
- */
-std::string
-checkAdaptiveCase(const Trace &trace, const MachineConfig &config,
-                  PolicyKind kind, ExperimentConfig cfg)
-{
-    cfg.verify.checker = true;
-    cfg.verify.panicOnViolation = false;
-    cfg.adaptive.enabled = true;
-    cfg.adaptive.intervalCycles = 256;
-    cfg.adaptive.reactionIntervals = 1;
-    cfg.adaptive.minDwellIntervals = 1;
-    const PolicyRun a = runPolicy(trace, config, kind, cfg);
-    if (a.checkerViolations)
-        return "adaptive: " + a.checkerDetail;
-    if (!a.adaptive.present())
-        return "adaptive: manager attached but exported no summary";
-    cfg.simOptions.legacyStep = true;
-    const PolicyRun b = runPolicy(trace, config, kind, cfg);
-    if (a.sim.cycles != b.sim.cycles)
-        return "adaptive: dense cycles " +
-            std::to_string(b.sim.cycles) + " != " +
-            std::to_string(a.sim.cycles);
-    return compareStats("adaptive-skip-vs-dense", a.sim.stats,
-                        b.sim.stats);
-}
-
 /** Returns "" on a clean case, else the first failure description. */
 std::string
 runCase(std::uint64_t seed, const FuzzArgs &args)
@@ -421,13 +385,6 @@ runCase(std::uint64_t seed, const FuzzArgs &args)
     if (!store_diff.empty()) {
         describeCase(config, kind, trace.size());
         return store_diff;
-    }
-
-    const std::string adaptive_diff =
-        checkAdaptiveCase(trace, config, kind, cfg);
-    if (!adaptive_diff.empty()) {
-        describeCase(config, kind, trace.size());
-        return adaptive_diff;
     }
     return "";
 }

@@ -5,9 +5,10 @@ The validator accepts only schema version 7, the one the report writer
 emits: a minimal v7 report and the committed BENCH_throughput.json
 (under --require-host, as CI checks it) pass; an older version or a v7
 report without its provenance block fails with a one-line diagnostic,
-never a traceback. A host block may read 0 MIPS only when it measured
-no instructions. Everything here drives the script as a subprocess,
-exactly as CI does.
+never a traceback. A run entry carrying a key the writer no longer
+emits (the dropped "adaptive" block) fails the same way. A host block
+may read 0 MIPS only when it measured no instructions. Everything here
+drives the script as a subprocess, exactly as CI does.
 """
 
 import json
@@ -66,6 +67,20 @@ class CheckBenchJsonTest(unittest.TestCase):
     def test_committed_baseline_passes_require_host(self):
         proc = self.check(BASELINE, "--require-host")
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_run_with_adaptive_block_fails(self):
+        # A well-formed block as the writer used to emit it: stale
+        # reports must not pass silently.
+        d = minimal_report()
+        d["runs"][0]["adaptive"] = {
+            "runs": 1, "intervals": 4, "transitions": 1, "reverts": 0,
+            "phases": {"smooth": 4, "memory": 0, "steer": 0,
+                       "imbalance": 0, "contention": 0},
+            "finalKnobs": {"stallThreshold": 0.3, "locLowCutoff": 2,
+                           "pressure": 0.75}}
+        proc = self.check_report(d)
+        self.assertCleanFailure(proc, "key 'adaptive' is not in the run "
+                                      "schema")
 
     def test_v6_report_fails(self):
         proc = self.check_report(minimal_report(version=6,
