@@ -32,6 +32,8 @@ struct ClusterPorts
     unsigned fpPorts = 4;
     /** Memory ops (load or store) per cycle. */
     unsigned memPorts = 4;
+
+    bool operator==(const ClusterPorts &) const = default;
 };
 
 /**
@@ -57,6 +59,10 @@ struct MachineConfig
     unsigned fwdLatency = 2;
     /** Fetch groups end at taken branches. */
     bool fetchStopAtTaken = true;
+
+    /** Field by field; name() omits fwdLatency and the rest, so two
+     *  machines with one name may differ. */
+    bool operator==(const MachineConfig &) const = default;
 
     /** The 1x8w monolithic baseline. */
     static MachineConfig monolithic();

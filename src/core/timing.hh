@@ -127,6 +127,8 @@ struct PhaseSpec
      *  (valid only for the final phase). */
     std::uint64_t instructions = 0;
     bool isWarmup = false;
+
+    bool operator==(const PhaseSpec &) const = default;
 };
 
 /** Closed-phase outcome: the phase's own cycle/instruction span plus
@@ -139,6 +141,10 @@ struct PhaseResult
     Cycle cycles = 0;
     StatsSnapshot stats;
 };
+
+/** Largest available-ILP bucket of SimResult's Fig. 15 capture;
+ *  cycles with more ready instructions count in this bucket. */
+inline constexpr unsigned ilpMaxAvailable = 64;
 
 /** Outcome of one timing-simulation run. */
 struct SimResult
@@ -163,8 +169,8 @@ struct SimResult
     /**
      * ILP capture (Fig. 15): index a = available ILP that cycle;
      * ilpCycles[a] counts cycles, ilpIssuedSum[a] sums instructions
-     * issued on those cycles. Only filled when SimOptions::collectIlp
-     * (whole-run, not phase-split).
+     * issued on those cycles, for a in 0..ilpMaxAvailable (whole
+     * run, not phase-split).
      */
     std::vector<std::uint64_t> ilpCycles;
     std::vector<std::uint64_t> ilpIssuedSum;

@@ -121,10 +121,8 @@ TimingSim::TimingSim(const MachineConfig &config, const TraceSoA &soa,
     waiterFree_ = 0;
     deliveredMask_.assign(n, 0);
 
-    if (options_.collectIlp) {
-        ilpCycles_.resize(options_.ilpMaxAvailable + 1, 0);
-        ilpIssuedSum_.resize(options_.ilpMaxAvailable + 1, 0);
-    }
+    ilpCycles_.resize(ilpMaxAvailable + 1, 0);
+    ilpIssuedSum_.resize(ilpMaxAvailable + 1, 0);
 
     if (options_.checker)
         observers_.push_back(options_.checker);
@@ -573,8 +571,7 @@ TimingSim::skipTo(Cycle target, std::uint64_t cycle_limit)
     // stall accounting). Occupancy needs nothing here — it is folded
     // at occupancy-change points, and a skipped span by construction
     // contains none.
-    if (options_.collectIlp)
-        ilpCycles_[0] += span;
+    ilpCycles_[0] += span;
 
     const std::uint64_t n = soa_.size();
     bool steer_blocked = false;
@@ -673,8 +670,7 @@ TimingSim::doIssue()
 
     if (readyMask_ == 0) {
         // Nothing available anywhere: only the ILP accounting runs.
-        if (options_.collectIlp)
-            ++ilpCycles_[0];
+        ++ilpCycles_[0];
         return 0;
     }
 
@@ -792,13 +788,10 @@ TimingSim::doIssue()
             readyMask_ &= static_cast<std::uint16_t>(~(1u << ci));
     }
 
-    if (options_.collectIlp) {
-        std::uint64_t bucket =
-            std::min<std::uint64_t>(available_total,
-                                    options_.ilpMaxAvailable);
-        ++ilpCycles_[bucket];
-        ilpIssuedSum_[bucket] += issued_total;
-    }
+    const std::uint64_t bucket =
+        std::min<std::uint64_t>(available_total, ilpMaxAvailable);
+    ++ilpCycles_[bucket];
+    ilpIssuedSum_[bucket] += issued_total;
     return issued_total;
 }
 

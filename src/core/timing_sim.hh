@@ -72,8 +72,6 @@ prioKeyClass(std::uint64_t key)
 
 struct SimOptions
 {
-    /** Collect the per-cycle available/achieved ILP data (Fig. 15). */
-    bool collectIlp = false;
     /**
      * Turn the idle probe off, so the one cycle loop steps every cycle
      * instead of skipping idle spans. Results, stats and observer hook
@@ -81,8 +79,6 @@ struct SimOptions
      * the fuzzer and the skip-vs-dense tests compare against.
      */
     bool legacyStep = false;
-    /** Largest available-ILP bucket tracked. */
-    unsigned ilpMaxAvailable = 64;
     /**
      * Hard safety bound: panic if the run exceeds this many cycles per
      * instruction (catches policy-induced deadlock in tests).
@@ -110,6 +106,8 @@ struct SimOptions
      * "to trace end".
      */
     std::vector<PhaseSpec> phases;
+
+    bool operator==(const SimOptions &) const = default;
 };
 
 class TimingSim : public CoreView

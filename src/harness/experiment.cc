@@ -44,9 +44,7 @@ configDigest(const ExperimentConfig &cfg)
         os << seed << ',';
     os << ";warm=" << cfg.warmupRuns << ";chunk=" << cfg.trainChunk
        << ";stall=" << cfg.stallThreshold << ";loc=" << cfg.locLevels
-       << ";sim=" << cfg.simOptions.collectIlp << ','
-       << cfg.simOptions.legacyStep << ','
-       << cfg.simOptions.ilpMaxAvailable << ','
+       << ";sim=" << cfg.simOptions.legacyStep << ','
        << cfg.simOptions.maxCpi << ";phases=";
     for (const PhaseSpec &phase : cfg.simOptions.phases)
         os << phase.name << ':' << phase.instructions << ':'

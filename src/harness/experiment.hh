@@ -67,6 +67,8 @@ struct VerifyConfig
     double oracleRelTol = 0.02;
     /** Die on the first violation (CI); false: count into verify.*. */
     bool panicOnViolation = true;
+
+    bool operator==(const VerifyConfig &) const = default;
 };
 
 /**
@@ -86,6 +88,8 @@ struct ProfileConfig
      * depgraph ground truth after each measured run (profiler.crit.*).
      */
     bool scoreCriticality = true;
+
+    bool operator==(const ProfileConfig &) const = default;
 };
 
 struct ExperimentConfig
@@ -114,6 +118,8 @@ struct ExperimentConfig
     struct NoAdaptive
     {
         static constexpr bool enabled = false;
+
+        bool operator==(const NoAdaptive &) const = default;
     };
     [[no_unique_address]] NoAdaptive adaptive;
 
@@ -134,6 +140,9 @@ struct ExperimentConfig
     std::uint64_t regionLen = 0;
     /** Warmup instructions run (and discarded) before each region. */
     std::uint64_t regionWarmup = 0;
+
+    /** Every field, doubles exactly (configDigest rounds them). */
+    bool operator==(const ExperimentConfig &) const = default;
 };
 
 /**

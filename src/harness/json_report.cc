@@ -433,12 +433,15 @@ BenchContext::addRunStats(const std::string &label,
 }
 
 void
-BenchContext::addSweepRuns(const SweepOutcome &outcome)
+BenchContext::addSweepRuns(SweepOutcome &&outcome)
 {
-    for (std::size_t i = 0; i < outcome.cells.size(); ++i)
-        addRunStats(outcome.cells[i].label(), outcome.results[i].stats,
-                    outcome.results[i].intervals,
-                    outcome.results[i].phases);
+    for (std::size_t i = 0; i < outcome.cells.size(); ++i) {
+        AggregateResult &res = outcome.results[i];
+        runs_.push_back(RunEntry{outcome.cells[i].label(),
+                                 std::move(res.stats),
+                                 std::move(res.intervals),
+                                 std::move(res.phases), RunHostMetrics{}});
+    }
 }
 
 void

@@ -151,7 +151,7 @@ struct RunHostMetrics
  *
  * Usage in a bench main():
  *
- *   BenchContext ctx("bench_fig14_policies", argc, argv);
+ *   BenchContext ctx("bench_paper", argc, argv);
  *   ctx.apply(cfg);              // --instructions / --seeds overrides
  *   ...
  *   ctx.addGrid(grid);
@@ -174,21 +174,6 @@ class BenchContext
      * sets region sampling (with `--warmup` as each region's warmup).
      */
     void apply(ExperimentConfig &cfg) const;
-
-    /** True when --check was given. */
-    bool checkRequested() const { return check_; }
-
-    /** True when --profile / --profile-interval / --trace-out given. */
-    bool profileRequested() const { return profile_; }
-
-    bool jsonRequested() const { return !jsonPath_.empty(); }
-    const std::string &jsonPath() const { return jsonPath_; }
-
-    /** Chrome trace output path ("" when --trace-out absent). */
-    const std::string &traceOutPath() const { return traceOutPath_; }
-
-    /** NDJSON run-ledger path ("" when --ledger-out absent). */
-    const std::string &ledgerPath() const { return ledgerPath_; }
 
     /** The live run ledger (null without --ledger-out). Already wired
      *  into runner(); benches with custom phases may emit their own
@@ -214,8 +199,9 @@ class BenchContext
                      const IntervalSeries &intervals = IntervalSeries{},
                      const std::vector<PhaseResult> &phases = {});
 
-    /** Record every cell of a sweep outcome via addRunStats. */
-    void addSweepRuns(const SweepOutcome &outcome);
+    /** Record every cell of a sweep outcome as addRunStats would,
+     *  moving each cell's stats, intervals and phases out of it. */
+    void addSweepRuns(SweepOutcome &&outcome);
 
     /**
      * Attach host-side cost metrics to the already-recorded run with

@@ -122,6 +122,17 @@ SweepCell::label() const
 std::size_t
 SweepSpec::add(SweepCell cell)
 {
+    const ExperimentConfig &cell_cfg = cell.cfg ? *cell.cfg : cfg;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const SweepCell &old = cells[i];
+        if (old.workload == cell.workload &&
+            old.machine == cell.machine && old.mode == cell.mode &&
+            (cell.mode == CellMode::Timing
+                 ? old.policy == cell.policy
+                 : old.priority == cell.priority) &&
+            cellConfig(i) == cell_cfg)
+            return i;
+    }
     cells.push_back(std::move(cell));
     return cells.size() - 1;
 }

@@ -3,14 +3,15 @@
  * Declarative experiment sweeps with a parallel cell executor.
  *
  * Every figure in the paper is a sweep over (workload x machine x
- * policy x seed) cells. A SweepSpec declares the cells; SweepRunner
- * expands them into independent (cell, seed) jobs, executes the jobs
- * on a std::thread worker pool, fetches each job's annotated trace
- * from a shared TraceCache (built once per (workload, seed, ...) key),
- * and folds each job's result into its cell's AggregateResult as soon
- * as the cell's earlier seeds have folded, so every cell merges its
- * seeds in declaration order and only the cells' aggregates (plus the
- * few results that landed early) are held. Because each job is
+ * policy x seed) cells. A SweepSpec declares the cells (a cell
+ * declared twice is one cell); SweepRunner expands them into
+ * independent (cell, seed) jobs, executes the jobs on a std::thread
+ * worker pool, fetches each job's annotated trace from a shared
+ * TraceCache (built once per (workload, seed, ...) key), and folds
+ * each job's result into its cell's AggregateResult as soon as the
+ * cell's earlier seeds have folded, so every cell merges its seeds in
+ * declaration order and only the cells' aggregates (plus the few
+ * results that landed early) are held. Because each job is
  * deterministic and the merge order is fixed, a run with N worker
  * threads is bit-identical to the 1-thread (and the old hand-rolled
  * sequential) path.
@@ -83,7 +84,13 @@ struct SweepSpec
     ExperimentConfig cfg;
     std::vector<SweepCell> cells;
 
-    /** Append a cell; returns its index into the results. */
+    /**
+     * Append a cell and return its index into the results, or return
+     * an earlier equal cell's index: the same workload, machine (every
+     * field), mode, policy (timing) or priority (ideal) and effective
+     * config. A cell several figures declare thus runs once. A cell
+     * without an override compares as `cfg` stands at this call.
+     */
     std::size_t add(SweepCell cell);
 
     std::size_t addTiming(std::string workload, MachineConfig machine,

@@ -12,8 +12,8 @@
  *    (the loop-carried update) is last in fetch order.
  *  - A parametric wide-ILP kernel (independent chains).
  *
- * These are tiny, fully-controlled programs used by
- * bench_paper_examples and the tests to demonstrate each policy
+ * These are tiny, fully-controlled programs used by bench_paper's
+ * code-examples section and the tests to demonstrate each policy
  * mechanism on exactly the dataflow shape the paper draws.
  */
 

@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -30,6 +29,7 @@
 #include "harness/sweep.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/run_ledger.hh"
+#include "config_knobs.hh"
 
 namespace csim {
 namespace {
@@ -257,45 +257,8 @@ TEST(RunLedger, ConfigDigestTracksEveryKnob)
 
     // One change per deterministic field; every digest must differ
     // from the base and from every other change's.
-    using Knob = std::pair<const char *,
-                           std::function<void(ExperimentConfig &)>>;
-    const std::vector<Knob> knobs = {
-        {"instructions", [](ExperimentConfig &c) { c.instructions += 1; }},
-        {"seeds", [](ExperimentConfig &c) { c.seeds.push_back(9); }},
-        {"warmupRuns", [](ExperimentConfig &c) { c.warmupRuns += 1; }},
-        {"trainChunk", [](ExperimentConfig &c) { c.trainChunk += 1; }},
-        {"stallThreshold",
-         [](ExperimentConfig &c) { c.stallThreshold += 0.05; }},
-        {"locLevels", [](ExperimentConfig &c) { c.locLevels = 8; }},
-        {"collectIlp",
-         [](ExperimentConfig &c) { c.simOptions.collectIlp = true; }},
-        {"legacyStep",
-         [](ExperimentConfig &c) { c.simOptions.legacyStep = true; }},
-        {"ilpMaxAvailable",
-         [](ExperimentConfig &c) { c.simOptions.ilpMaxAvailable += 1; }},
-        {"maxCpi", [](ExperimentConfig &c) { c.simOptions.maxCpi += 1; }},
-        {"phases",
-         [](ExperimentConfig &c) {
-             c.simOptions.phases = {{"warmup", 100, true},
-                                    {"measure", 0, false}};
-         }},
-        {"checker", [](ExperimentConfig &c) { c.verify.checker = true; }},
-        {"oracle", [](ExperimentConfig &c) { c.verify.oracle = true; }},
-        {"oracleRelTol",
-         [](ExperimentConfig &c) { c.verify.oracleRelTol += 0.01; }},
-        {"panicOnViolation",
-         [](ExperimentConfig &c) { c.verify.panicOnViolation = false; }},
-        {"profile", [](ExperimentConfig &c) { c.profile.enabled = true; }},
-        {"intervalCycles",
-         [](ExperimentConfig &c) { c.profile.intervalCycles += 1; }},
-        {"scoreCriticality",
-         [](ExperimentConfig &c) { c.profile.scoreCriticality = false; }},
-        {"regions", [](ExperimentConfig &c) { c.regions = 4; }},
-        {"regionLen", [](ExperimentConfig &c) { c.regionLen = 100; }},
-        {"regionWarmup", [](ExperimentConfig &c) { c.regionWarmup = 50; }},
-    };
     std::set<std::string> seen = {base};
-    for (const auto &[name, change] : knobs) {
+    for (const auto &[name, change] : configKnobs()) {
         SCOPED_TRACE(name);
         ExperimentConfig other = cfg;
         change(other);
@@ -597,8 +560,7 @@ TEST(BenchContextLedger, EndToEndLedgerAndProvenance)
         EXPECT_TRUE(FlightRecorder::installed());
         SweepSpec spec = smallSpec();
         ctx.apply(spec.cfg);
-        const SweepOutcome outcome = ctx.runner().run(spec);
-        ctx.addSweepRuns(outcome);
+        ctx.addSweepRuns(ctx.runner().run(spec));
         EXPECT_EQ(ctx.finish(), 0);
     }
     FlightRecorder::reset();

@@ -188,10 +188,10 @@ TEST(PaperShapes, LocDistributionHasNeverCriticalSpike)
 TEST(PaperShapes, AchievedIlpSaturatesNearMachineWidth)
 {
     // Fig. 15 on the 8x1w machine.
-    ExperimentConfig cfg = quickConfig();
-    cfg.simOptions.collectIlp = true;
+    const ExperimentConfig cfg = quickConfig();
 
-    std::vector<double> issued(65, 0.0), cycles(65, 0.0);
+    std::vector<double> issued(ilpMaxAvailable + 1, 0.0),
+        cycles(ilpMaxAvailable + 1, 0.0);
     for (const char *wl : {"vortex", "gcc", "eon"}) {
         WorkloadConfig wcfg;
         wcfg.targetInstructions = cfg.instructions;

@@ -4,9 +4,10 @@
  * 36 B/inst simulation-only entries, SweepRunner determinism across
  * thread counts (bit-identical aggregates, including the merged stats
  * snapshots), equivalence with
- * the legacy sequential entry points, BenchContext's --threads front
- * end, and the fwdLatency independence of one-cluster jobs that
- * bench_latency_sweep's shared 1x8w baselines rest on.
+ * the legacy sequential entry points, SweepSpec's one index per equal
+ * cell, BenchContext's --threads front end, and the fwdLatency
+ * independence of one-cluster jobs that bench_paper's latency sweep
+ * rests on when it declares each 1x8w baseline once.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -29,6 +31,7 @@
 #include "harness/sweep.hh"
 #include "harness/trace_cache.hh"
 #include "obs/run_ledger.hh"
+#include "config_knobs.hh"
 #include "sim_checks.hh"
 
 namespace csim {
@@ -207,6 +210,95 @@ TEST(SweepSpec, LabelsAndPerCellConfig)
     EXPECT_EQ(spec.cells[b].label(), "gcc/8x1w/focused+loc+stall");
     EXPECT_EQ(spec.cellConfig(a).instructions, 123u);
     EXPECT_EQ(spec.cellConfig(b).instructions, 456u);
+}
+
+TEST(SweepSpec, EqualCellsShareOneIndex)
+{
+    SweepSpec spec;
+    spec.cfg = smallConfig();
+    const MachineConfig c8 = MachineConfig::clustered(8);
+    const std::size_t timing =
+        spec.addTiming("gzip", c8, PolicyKind::FocusedLoc);
+    const std::size_t ideal = spec.addIdeal("gzip", c8);
+    EXPECT_NE(timing, ideal);
+
+    // Shared: a repeat, an override equal to spec.cfg, the same
+    // machine built another way, and a difference in the field the
+    // cell's mode does not read.
+    EXPECT_EQ(spec.addTiming("gzip", c8, PolicyKind::FocusedLoc), timing);
+    EXPECT_EQ(spec.addIdeal("gzip", c8), ideal);
+    SweepCell overridden;
+    overridden.workload = "gzip";
+    overridden.machine = c8;
+    overridden.policy = PolicyKind::FocusedLoc;
+    overridden.cfg = spec.cfg;
+    EXPECT_EQ(spec.add(overridden), timing);
+    EXPECT_EQ(spec.addTiming("gzip", MachineConfig::generic(8, 1),
+                             PolicyKind::FocusedLoc),
+              timing);
+    SweepCell ideal_cell = spec.cells[ideal];
+    ideal_cell.policy = PolicyKind::Dep;
+    EXPECT_EQ(spec.add(ideal_cell), ideal);
+    SweepCell timing_cell = spec.cells[timing];
+    timing_cell.priority = ListSchedOptions::Priority::Loc;
+    EXPECT_EQ(spec.add(timing_cell), timing);
+    EXPECT_EQ(spec.cells.size(), 2u);
+
+    // Distinct: the workload, every MachineConfig field (the label
+    // shows none but the cluster count and width), the policy, the
+    // priority and every ExperimentConfig knob.
+    std::set<std::size_t> seen = {timing, ideal};
+    const auto expectNew = [&](std::size_t index) {
+        EXPECT_TRUE(seen.insert(index).second) << "index " << index;
+    };
+    expectNew(spec.addTiming("mcf", c8, PolicyKind::FocusedLoc));
+    for (unsigned MachineConfig::*field :
+         {&MachineConfig::numClusters, &MachineConfig::windowPerCluster,
+          &MachineConfig::robEntries, &MachineConfig::fetchWidth,
+          &MachineConfig::dispatchWidth, &MachineConfig::commitWidth,
+          &MachineConfig::frontendDepth, &MachineConfig::fwdLatency}) {
+        MachineConfig m = c8;
+        m.*field += 1;
+        expectNew(spec.addTiming("gzip", m, PolicyKind::FocusedLoc));
+    }
+    for (unsigned ClusterPorts::*field :
+         {&ClusterPorts::issueWidth, &ClusterPorts::intPorts,
+          &ClusterPorts::fpPorts, &ClusterPorts::memPorts}) {
+        MachineConfig m = c8;
+        m.cluster.*field += 1;
+        expectNew(spec.addTiming("gzip", m, PolicyKind::FocusedLoc));
+    }
+    MachineConfig stop = c8;
+    stop.fetchStopAtTaken = false;
+    expectNew(spec.addTiming("gzip", stop, PolicyKind::FocusedLoc));
+    expectNew(spec.addTiming("gzip", c8, PolicyKind::Focused));
+    expectNew(spec.addIdeal("gzip", c8, ListSchedOptions::Priority::Loc));
+    for (const auto &[name, change] : configKnobs()) {
+        SCOPED_TRACE(name);
+        SweepCell cell = overridden;
+        change(*cell.cfg);
+        const std::size_t index = spec.add(cell);
+        expectNew(index);
+        EXPECT_EQ(spec.add(cell), index);
+    }
+    EXPECT_EQ(spec.cells.size(), seen.size());
+
+    // A shared cell is one job per seed, so a run hook sees it once.
+    SweepSpec twice;
+    twice.cfg = smallConfig();
+    const std::size_t cell = twice.addTiming(
+        "gzip", MachineConfig::clustered(2), PolicyKind::Focused);
+    EXPECT_EQ(twice.addTiming("gzip", MachineConfig::clustered(2),
+                              PolicyKind::Focused),
+              cell);
+    std::vector<int> calls(twice.cfg.seeds.size(), 0);
+    SweepRunner runner(2);
+    const SweepOutcome out = runner.run(
+        twice, [&](const SweepJob &job, const Trace &, const PolicyRun &) {
+            ++calls[job.seedIndex];
+        });
+    EXPECT_EQ(out.results.size(), 1u);
+    EXPECT_EQ(calls, std::vector<int>(twice.cfg.seeds.size(), 1));
 }
 
 // ---------------------------------------------------------------- //
@@ -558,10 +650,11 @@ TEST(SweepRunner, WallTimeAndCellsRecorded)
 
 TEST(MonolithicMachine, JobsDoNotDependOnFwdLatency)
 {
-    // bench_latency_sweep runs each 1x8w baseline once for all four
-    // forwarding latencies. That is sound only if every job the
-    // golden digests pin (cycles and statsDigest, timing and ideal
-    // cells, checked as the golden run is) is the same at any latency.
+    // bench_paper's latency sweep runs each 1x8w baseline once for
+    // all four forwarding latencies. That is sound only if every job
+    // the golden digests pin (cycles and statsDigest, timing and
+    // ideal cells, checked as the golden run is) is the same at any
+    // latency.
     ExperimentConfig cfg = smallConfig();
     cfg.verify.checker = true;
     cfg.verify.oracle = true;

@@ -307,11 +307,11 @@ TEST(TimingSim, IlpAccountingSumsMatch)
 
     UnifiedSteering steer(UnifiedSteeringOptions{}, nullptr, nullptr);
     AgeScheduling age;
-    SimOptions opts;
-    opts.collectIlp = true;
     MachineConfig mc = MachineConfig::clustered(8);
-    SimResult res = TimingSim(mc, t, steer, age, nullptr, opts).run();
+    SimResult res = TimingSim(mc, t, steer, age).run();
 
+    ASSERT_EQ(res.ilpCycles.size(), ilpMaxAvailable + 1);
+    ASSERT_EQ(res.ilpIssuedSum.size(), ilpMaxAvailable + 1);
     std::uint64_t cycles = 0, issued = 0;
     for (std::size_t a = 0; a < res.ilpCycles.size(); ++a) {
         cycles += res.ilpCycles[a];

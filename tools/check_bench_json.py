@@ -35,7 +35,9 @@ content hashes — belongs to the report's deterministic region.
 
 A run entry carries no key outside {"label", "stats", "phases",
 "intervals", "host"}; any other (a stale report's "adaptive" block,
-say) fails with one line naming it.
+say) fails with one line naming it. So does a key repeated within one
+object (two scalars of one name, say), which json.load would collapse
+to the last value without a word.
 
 A run's "phases" list (present on runs with warmup/measure phases
 or region sampling) holds {"name": str, "isWarmup": bool,
@@ -307,9 +309,18 @@ def check_grid(i, g):
         check_number(v, f"{where}.averages['{col}']")
 
 
+def unique_keys(pairs):
+    """json object_pairs_hook: fail on a repeated key, naming it."""
+    obj = {}
+    for key, value in pairs:
+        require(key not in obj, f"duplicate key '{key}'")
+        obj[key] = value
+    return obj
+
+
 def check_report(path, min_stats, require_host=False):
     with open(path) as f:
-        d = json.load(f)
+        d = json.load(f, object_pairs_hook=unique_keys)
 
     require(isinstance(d, dict), "top level is not an object")
     version = d.get("schemaVersion")

@@ -6,9 +6,11 @@ run ledger's per-job FNV-1a ``statsDigest`` and ``cycles`` (one
 ``jobEnd`` event per (sweep, cell, seed)) as "<digest> cycles=<n>".
 The cycles ride along because an ideal cell's stats are its 1x8w
 reference run's, so its digest alone does not see the list schedule.
-Beside it, tests/golden/<invocation>.txt pins each invocation's whole
-stdout: the normalization, averages, tables and post-run analyses that
-no job value covers. Any silent drift in simulated behaviour or in the
+Beside it, tests/golden/<bench>.txt pins the bench's whole stdout: the
+normalization, averages, tables and post-run analyses that no job value
+covers. The flags of an invocation change what runs checked or
+profiled, not what it prints, so every invocation of a bench must print
+that one text. Any silent drift in simulated behaviour or in the
 printed arithmetic changes at least one pinned value or line. This
 script re-runs every invocation in ``BENCHES`` with ``--ledger-out``,
 reports every job whose value changed, appeared or vanished, and prints
@@ -36,21 +38,13 @@ MANIFEST = os.path.join(GOLDEN_DIR, "digests.json")
 # Every bench runs at this scale. Job values and stdout are
 # thread-count invariant, so the two worker threads only save wall
 # time. Each entry is one invocation, keyed by its bench and extra
-# args, so a bench can be pinned under several flag sets
-# (bench_fig4_focused: checked and profiled). Benches that run no
-# sweep (bench_table1_config, bench_paper_examples) pin stdout only.
+# args: bench_paper's jobs are pinned plain, checked (the checker adds
+# verify.* stats) and profiled (profiler.* stats).
 COMMON_ARGS = ["--instructions", "4000", "--seeds", "1,2"]
 BENCHES = [
-    "bench_fig14_policies",
-    "bench_fig4_focused --profile",
-    "bench_ablation --check",
-    "bench_cluster_sweep --check",
-    "bench_fig4_focused --check",
-    "bench_global_traffic --check",
-    "bench_latency_sweep --check",
-    "bench_sec4_loc_ideal --check",
-    "bench_paper_examples --check",
-    "bench_table1_config",
+    "bench_paper",
+    "bench_paper --check",
+    "bench_paper --profile",
 ]
 
 # Lines of one stdout diff shown on a failure.
@@ -63,9 +57,9 @@ def fail(msg):
 
 
 def stdout_path(entry):
-    """tests/golden/<bench>[_<flag>...].txt for one BENCHES entry."""
-    name = "_".join(arg.lstrip("-") for arg in entry.split())
-    return os.path.join(GOLDEN_DIR, name + ".txt")
+    """tests/golden/<bench>.txt, the stdout every invocation of one
+    BENCHES entry's bench must print."""
+    return os.path.join(GOLDEN_DIR, entry.split()[0] + ".txt")
 
 
 def pinned(digest, cycles):

@@ -6,9 +6,10 @@ emits: a minimal v7 report and the committed BENCH_throughput.json
 (under --require-host, as CI checks it) pass; an older version or a v7
 report without its provenance block fails with a one-line diagnostic,
 never a traceback. A run entry carrying a key the writer no longer
-emits (the dropped "adaptive" block) fails the same way. A host block
-may read 0 MIPS only when it measured no instructions. Everything here
-drives the script as a subprocess, exactly as CI does.
+emits (the dropped "adaptive" block) fails the same way, as does a key
+repeated within one object. A host block may read 0 MIPS only when it
+measured no instructions. Everything here drives the script as a
+subprocess, exactly as CI does.
 """
 
 import json
@@ -82,6 +83,18 @@ class CheckBenchJsonTest(unittest.TestCase):
         self.assertCleanFailure(proc, "key 'adaptive' is not in the run "
                                       "schema")
 
+    def test_duplicated_scalar_fails(self):
+        # json.dump cannot repeat a key, so the text is spliced.
+        text = json.dumps(minimal_report()).replace(
+            '"scalars": {}', '"scalars": {"normCpi.2x4w": 1.0, '
+            '"normCpi.2x4w": 1.5}')
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "report.json")
+            with open(path, "w") as f:
+                f.write(text)
+            self.assertCleanFailure(self.check(path),
+                                    "duplicate key 'normCpi.2x4w'")
+
     def test_v6_report_fails(self):
         proc = self.check_report(minimal_report(version=6,
                                                 provenance=False))
@@ -128,7 +141,7 @@ class CheckBenchJsonTest(unittest.TestCase):
         return d
 
     def test_host_without_measured_instructions_may_read_zero_mips(self):
-        # bench_table1_config simulates nothing, so it measures 0 MIPS.
+        # A bench that simulates nothing measures 0 MIPS.
         proc = self.check_report(self.with_host(0, 0))
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 

@@ -4,11 +4,12 @@
     python3 tools/update_golden.py --bench-dir build/bench \\
         --reason "why the simulated behaviour or printed output changed"
 
-Writes tests/golden/digests.json and one tests/golden/<invocation>.txt
-per golden bench, and deletes the .txt of an invocation no longer
-checked. A change means the simulator's output changed, so the update
-must say why: ``--reason`` is mandatory and is appended to CHANGES.md
-next to the regenerated files.
+Writes tests/golden/digests.json and one tests/golden/<bench>.txt per
+golden bench, and deletes the .txt of a bench no longer checked. Every
+invocation of a bench must print the same stdout; when two differ,
+nothing is written. A change means the simulator's output changed, so
+the update must say why: ``--reason`` is mandatory and is appended to
+CHANGES.md next to the regenerated files.
 """
 
 import argparse
@@ -34,7 +35,14 @@ def main():
         ap.error("--reason must not be blank")
 
     fresh, texts = collect(args.bench_dir)
-    wanted = {stdout_path(entry) for entry in texts}
+    by_path = {}
+    for entry, text in texts.items():
+        first = by_path.setdefault(stdout_path(entry), (entry, text))
+        if first[1] != text:
+            print(f"'{first[0]}' and '{entry}' print different stdout; "
+                  f"nothing written", file=sys.stderr)
+            return 1
+    wanted = set(by_path)
     stale = set(glob.glob(os.path.join(GOLDEN_DIR, "*.txt"))) - wanted
     if os.path.exists(MANIFEST):
         with open(MANIFEST) as f:
@@ -51,8 +59,8 @@ def main():
     with open(MANIFEST, "w") as f:
         json.dump(fresh, f, indent=2)
         f.write("\n")
-    for entry, text in texts.items():
-        with open(stdout_path(entry), "w", encoding="utf-8") as f:
+    for path, (_, text) in by_path.items():
+        with open(path, "w", encoding="utf-8") as f:
             f.write(text)
     for path in stale:
         os.remove(path)
