@@ -8,7 +8,10 @@
  * policy behaves the way it does on a given dataflow shape.
  *
  * Usage: critpath_explorer [workload] [clusters] [policy] [instrs]
+ *   clusters: 1 | 2 | 4 | 8
  *   policy: dep | focused | loc | stall | proactive
+ * Anything else in those slots, or a malformed instruction count, is
+ * an error.
  */
 
 #include <algorithm>
@@ -21,11 +24,21 @@
 #include "common/stats.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "harness/sweep.hh"
 #include "trace/trace_soa.hh"
 
 using namespace csim;
 
 namespace {
+
+[[noreturn]] void
+usage()
+{
+    std::fprintf(stderr,
+                 "usage: critpath_explorer [workload] [1|2|4|8] "
+                 "[dep|focused|loc|stall|proactive] [instructions]\n");
+    std::exit(1);
+}
 
 PolicyKind
 parsePolicy(const std::string &s)
@@ -38,7 +51,9 @@ parsePolicy(const std::string &s)
         return PolicyKind::FocusedLoc;
     if (s == "stall")
         return PolicyKind::FocusedLocStall;
-    return PolicyKind::FocusedLocStallProactive;
+    if (s == "proactive")
+        return PolicyKind::FocusedLocStallProactive;
+    usage();
 }
 
 struct PcStats
@@ -60,12 +75,17 @@ int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "vpr";
-    const unsigned clusters =
-        argc > 2 ? std::atoi(argv[2]) : 8;
+    const unsigned clusters = argc > 2
+        ? static_cast<unsigned>(parseDecimal(argv[2], "clusters", 1, 8))
+        : 8;
+    // MachineConfig::clustered() splits the 8-wide machine evenly.
+    if (8 % clusters != 0)
+        usage();
     const PolicyKind kind =
         parsePolicy(argc > 3 ? argv[3] : "proactive");
-    const std::uint64_t instrs =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 60000;
+    const std::uint64_t instrs = argc > 4
+        ? parseDecimal(argv[4], "instructions", 1, UINT64_MAX)
+        : 60000;
 
     WorkloadConfig wcfg;
     wcfg.targetInstructions = instrs;

@@ -5,15 +5,16 @@
  * plus the critical-path breakdown.
  *
  * Usage: quickstart [workload] [instructions]
+ * A malformed instruction count is fatal.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/stats.hh"
 #include "core/timing_sim.hh"
 #include "critpath/attribution.hh"
+#include "harness/sweep.hh"
 #include "policy/scheduling.hh"
 #include "policy/steering.hh"
 #include "workloads/registry.hh"
@@ -24,8 +25,9 @@ int
 main(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "vpr";
-    const std::uint64_t count =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 50000;
+    const std::uint64_t count = argc > 2
+        ? parseDecimal(argv[2], "instructions", 1, UINT64_MAX)
+        : 50000;
 
     WorkloadConfig wcfg;
     wcfg.targetInstructions = count;

@@ -10,25 +10,29 @@
  *   simulate [options]
  *     --workload NAME    one of the 12 proxies, or 'all'   [vpr]
  *     --clusters N       1..16                             [4]
- *     --width W          issue width per cluster           [8/N]
- *     --fwd L            inter-cluster latency, cycles     [2]
+ *     --width W          issue width per cluster, 1..64    [8/N]
+ *     --fwd L            inter-cluster latency, 0..64      [2]
  *     --policy P         modn|loadbal|dep|focused|loc|stall|
  *                        proactive|block|adaptive          [focused]
  *     --instructions N   dynamic instructions per seed     [60000]
- *     --seeds a,b,c      comma-separated seeds             [1,2,3]
+ *     --seeds a,b,c      distinct comma-separated seeds    [1,2,3]
  *     --save PATH        also write the (last) trace to PATH as a
  *                        columnar .trc2 store
+ *
+ * A malformed number, a repeated seed, or more than 8 clusters
+ * without --width is fatal.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "harness/sweep.hh"
 #include "policy/extra_steering.hh"
 #include "policy/scheduling.hh"
 #include "trace/trace_store.hh"
@@ -49,7 +53,7 @@ struct Options
     std::string savePath;
 };
 
-void
+[[noreturn]] void
 usage()
 {
     std::fprintf(stderr,
@@ -68,41 +72,40 @@ parse(int argc, char **argv)
     Options o;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto next = [&]() -> const char * {
+        auto next = [&]() -> std::string {
             if (++i >= argc)
                 usage();
             return argv[i];
         };
+        auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+            return static_cast<unsigned>(
+                parseDecimal(next(), a.c_str(), lo, hi));
+        };
         if (a == "--workload") {
             o.workload = next();
         } else if (a == "--clusters") {
-            o.clusters = std::atoi(next());
+            o.clusters = number(1, maxClusters);
         } else if (a == "--width") {
-            o.width = std::atoi(next());
+            o.width = number(1, 64);
         } else if (a == "--fwd") {
-            o.fwd = std::atoi(next());
+            o.fwd = number(0, 64);
         } else if (a == "--policy") {
             o.policy = next();
         } else if (a == "--instructions") {
-            o.instructions = std::strtoull(next(), nullptr, 10);
+            o.instructions = parseDecimal(next(), "--instructions", 1,
+                                          UINT64_MAX);
         } else if (a == "--seeds") {
-            o.seeds.clear();
-            const char *s = next();
-            for (const char *p = s; *p;) {
-                o.seeds.push_back(std::strtoull(p, nullptr, 10));
-                while (*p && *p != ',')
-                    ++p;
-                if (*p == ',')
-                    ++p;
-            }
+            o.seeds = parseSeedList(next());
         } else if (a == "--save") {
             o.savePath = next();
         } else {
             usage();
         }
     }
-    if (o.clusters < 1 || o.clusters > 16 || o.seeds.empty())
-        usage();
+    // 8/N is the derived width; past 8 clusters it rounds to 0.
+    if (o.width == 0 && o.clusters > 8)
+        CSIM_FATAL_F("bad --clusters '%u': more than 8 clusters need "
+                     "--width", o.clusters);
     return o;
 }
 
@@ -117,22 +120,17 @@ runOne(const Options &o, const std::string &wl,
     cfg.seeds = o.seeds;
 
     AggregateResult agg;
-    // The extra policies are run directly (no predictors needed).
-    if (o.policy == "block" || o.policy == "adaptive") {
+    // Block steering has no PolicyKind; it runs directly (no
+    // predictors needed).
+    if (o.policy == "block") {
         for (std::uint64_t seed : o.seeds) {
             WorkloadConfig wcfg;
             wcfg.targetInstructions = o.instructions;
             wcfg.seed = seed;
             Trace trace = buildAnnotatedTrace(wl, wcfg);
             AgeScheduling age;
-            SimResult res;
-            if (o.policy == "block") {
-                BlockSteering steer;
-                res = TimingSim(mc, trace, steer, age).run();
-            } else {
-                AdaptiveClusterSteering steer;
-                res = TimingSim(mc, trace, steer, age).run();
-            }
+            BlockSteering steer;
+            const SimResult res = TimingSim(mc, trace, steer, age).run();
             CpBreakdown bd = analyzeFullRun(trace, res, mc);
             agg.instructions += res.instructions;
             agg.cycles += res.cycles;
@@ -158,6 +156,8 @@ runOne(const Options &o, const std::string &wl,
             kind = PolicyKind::FocusedLocStall;
         else if (o.policy == "proactive")
             kind = PolicyKind::FocusedLocStallProactive;
+        else if (o.policy == "adaptive")
+            kind = PolicyKind::ActiveClusters;
         else
             usage();
         agg = runAggregate(wl, mc, kind, cfg);

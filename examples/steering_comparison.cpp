@@ -7,15 +7,16 @@
  * paper's whole story on one screen.
  *
  * Usage: steering_comparison [workload] [instructions]
+ * A malformed instruction count is fatal.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/stats.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "harness/sweep.hh"
 
 using namespace csim;
 
@@ -23,8 +24,9 @@ int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "gzip";
-    const std::uint64_t count =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 60000;
+    const std::uint64_t count = argc > 2
+        ? parseDecimal(argv[2], "instructions", 1, UINT64_MAX)
+        : 60000;
 
     ExperimentConfig cfg;
     cfg.instructions = count;

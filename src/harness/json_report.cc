@@ -1,6 +1,5 @@
 #include "harness/json_report.hh"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -224,29 +223,6 @@ usage(const std::string &benchmark, const char *bad_arg)
     std::exit(0);
 }
 
-std::vector<std::uint64_t>
-parseSeedList(const std::string &arg)
-{
-    std::vector<std::uint64_t> seeds;
-    std::size_t pos = 0;
-    while (pos <= arg.size()) {
-        std::size_t comma = arg.find(',', pos);
-        if (comma == std::string::npos)
-            comma = arg.size();
-        const std::uint64_t seed = parseDecimal(
-            arg.substr(pos, comma - pos), "--seeds", 0, UINT64_MAX);
-        // A repeated seed would run each cell's job for that seed
-        // again and count it twice in the cell's aggregate.
-        if (std::find(seeds.begin(), seeds.end(), seed) != seeds.end())
-            CSIM_FATAL_F("bad --seeds '%s': seed %llu is listed twice",
-                         arg.c_str(),
-                         static_cast<unsigned long long>(seed));
-        seeds.push_back(seed);
-        pos = comma + 1;
-    }
-    return seeds;
-}
-
 /**
  * Fatal unless `path` can be created and written right now: an output
  * flag pointing into a missing or read-only directory must fail at
@@ -425,11 +401,9 @@ BenchContext::addGrid(const FigureGrid &grid)
 void
 BenchContext::addRunStats(const std::string &label,
                           const StatsSnapshot &s,
-                          const IntervalSeries &intervals,
-                          const std::vector<PhaseResult> &phases)
+                          const IntervalSeries &intervals)
 {
-    runs_.push_back(RunEntry{label, s, intervals, phases,
-                             RunHostMetrics{}});
+    runs_.push_back(RunEntry{label, s, intervals, {}});
 }
 
 void
@@ -440,22 +414,8 @@ BenchContext::addSweepRuns(SweepOutcome &&outcome)
         runs_.push_back(RunEntry{outcome.cells[i].label(),
                                  std::move(res.stats),
                                  std::move(res.intervals),
-                                 std::move(res.phases), RunHostMetrics{}});
+                                 std::move(res.phases)});
     }
-}
-
-void
-BenchContext::addRunHost(const std::string &label,
-                         const RunHostMetrics &host)
-{
-    for (auto it = runs_.rbegin(); it != runs_.rend(); ++it) {
-        if (it->label == label) {
-            it->host = host;
-            return;
-        }
-    }
-    CSIM_FATAL_F("%s: addRunHost: no recorded run labelled '%s'",
-                 benchmark_.c_str(), label.c_str());
 }
 
 void
@@ -581,19 +541,6 @@ measuredInstructions(const HostProfNode &node)
     return sum;
 }
 
-/** Serialize one run's host-cost block (see RunHostMetrics). */
-void
-writeRunHost(JsonWriter &w, const RunHostMetrics &host)
-{
-    w.beginObject();
-    w.key("wallSeconds").value(host.wallSeconds);
-    w.key("instructions").value(host.instructions);
-    w.key("hostMips").value(mipsOf(host.instructions,
-                                   host.wallSeconds));
-    w.key("peakRssBytes").value(host.peakRssBytes);
-    w.endObject();
-}
-
 } // anonymous namespace
 
 int
@@ -693,10 +640,6 @@ BenchContext::finish()
         if (!run.intervals.empty()) {
             w.key("intervals");
             writeIntervalSeries(w, run.intervals);
-        }
-        if (run.host.wallSeconds > 0.0) {
-            w.key("host");
-            writeRunHost(w, run.host);
         }
         w.endObject();
     }

@@ -33,9 +33,7 @@
  *                              "instructions",         // runs only
  *                              "cycles", "cpi"}, ...],
  *                  "intervals": {"intervalCycles": N,   // profiled
- *                                "series": [...]},      // runs only
- *                  "host": {"wallSeconds", "instructions",
- *                           "hostMips", "peakRssBytes"}},  // optional
+ *                                "series": [...]}},     // runs only
  *                 ...,
  *                 {"label": "traceCache", "stats": {...}}],
  *     "host":    {"wallSeconds", "hostMips",   // process-wide
@@ -59,7 +57,7 @@
  * whose components sum exactly to "cycles", event counts and a
  * per-cluster lane array; "mergeCount" is the number of seed runs
  * summed into the series (per-run means divide by it). Apart from
- * "threads", "wallSeconds", the "host" blocks (wall times and memory
+ * "threads", "wallSeconds", the "host" block (wall times and memory
  * vary run to run) and the provenance "cmdline"/"env" pair (which
  * describe the invocation itself) the report is byte-identical across
  * thread counts — including the interval series, whose seed merge
@@ -135,17 +133,6 @@ void writeStatValue(JsonWriter &w, const StatValue &v);
 /** Serialize a whole snapshot as an object keyed by stat name. */
 void writeSnapshot(JsonWriter &w, const StatsSnapshot &snap);
 
-/** Host-side cost of one measured run (see addRunHost). */
-struct RunHostMetrics
-{
-    /** Wall seconds the run's sweep took. */
-    double wallSeconds = 0.0;
-    /** Simulated instructions retired during those seconds. */
-    std::uint64_t instructions = 0;
-    /** Peak resident set sampled after the run (0: not sampled). */
-    std::uint64_t peakRssBytes = 0;
-};
-
 /**
  * Shared bench command line + JSON report accumulator.
  *
@@ -193,24 +180,13 @@ class BenchContext
     void addGrid(const FigureGrid &grid);
 
     /** Record one aggregate cell's merged registry snapshot, plus its
-     *  interval series when the cell was profiled and its phase
-     *  outcomes when phases / region sampling were configured. */
+     *  interval series when the cell was profiled. */
     void addRunStats(const std::string &label, const StatsSnapshot &s,
-                     const IntervalSeries &intervals = IntervalSeries{},
-                     const std::vector<PhaseResult> &phases = {});
+                     const IntervalSeries &intervals = IntervalSeries{});
 
     /** Record every cell of a sweep outcome as addRunStats would,
      *  moving each cell's stats, intervals and phases out of it. */
     void addSweepRuns(SweepOutcome &&outcome);
-
-    /**
-     * Attach host-side cost metrics to the already-recorded run with
-     * this label (fatal when the label is unknown). Serialized as the
-     * run's "host" object with a derived "hostMips"; excluded from the
-     * report's deterministic region.
-     */
-    void addRunHost(const std::string &label,
-                    const RunHostMetrics &host);
 
     /** Record a loose named number (model params, derived metrics). */
     void addScalar(const std::string &name, double value);
@@ -226,8 +202,6 @@ class BenchContext
         IntervalSeries intervals;
         /** Merged phase outcomes (empty: unphased run). */
         std::vector<PhaseResult> phases;
-        /** Host cost metrics; present when wallSeconds > 0. */
-        RunHostMetrics host;
     };
 
     std::string benchmark_;

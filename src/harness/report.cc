@@ -1,7 +1,6 @@
 #include "harness/report.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -133,19 +132,6 @@ mean(const std::vector<double> &xs)
     for (double x : xs)
         sum += x;
     return sum / static_cast<double>(xs.size());
-}
-
-double
-geomean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double x : xs) {
-        CSIM_ASSERT(x > 0.0);
-        log_sum += std::log(x);
-    }
-    return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
 } // namespace csim

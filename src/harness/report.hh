@@ -55,9 +55,6 @@ class FigureGrid
 /** Arithmetic mean of a vector (0 when empty). */
 double mean(const std::vector<double> &xs);
 
-/** Geometric mean of a vector (0 when empty). */
-double geomean(const std::vector<double> &xs);
-
 } // namespace csim
 
 #endif // CSIM_HARNESS_REPORT_HH

@@ -45,6 +45,29 @@ parseThreadCount(const std::string &value, const char *source)
     return static_cast<unsigned>(parseDecimal(value, source, 1, 65536));
 }
 
+std::vector<std::uint64_t>
+parseSeedList(const std::string &value)
+{
+    std::vector<std::uint64_t> seeds;
+    std::size_t pos = 0;
+    while (pos <= value.size()) {
+        std::size_t comma = value.find(',', pos);
+        if (comma == std::string::npos)
+            comma = value.size();
+        const std::uint64_t seed = parseDecimal(
+            value.substr(pos, comma - pos), "--seeds", 0, UINT64_MAX);
+        // A repeated seed would run each cell's job for that seed
+        // again and count it twice in the cell's aggregate.
+        if (std::find(seeds.begin(), seeds.end(), seed) != seeds.end())
+            CSIM_FATAL_F("bad --seeds '%s': seed %llu is listed twice",
+                         value.c_str(),
+                         static_cast<unsigned long long>(seed));
+        seeds.push_back(seed);
+        pos = comma + 1;
+    }
+    return seeds;
+}
+
 namespace {
 
 const char *

@@ -50,6 +50,10 @@ std::uint64_t parseDecimal(const std::string &value, const char *source,
 /** A worker-thread count: parseDecimal over [1, 65536]. */
 unsigned parseThreadCount(const std::string &value, const char *source);
 
+/** A `--seeds` list: comma-separated parseDecimal values, each listed
+ *  once (a repeated seed is fatal). */
+std::vector<std::uint64_t> parseSeedList(const std::string &value);
+
 /** Whether a cell runs the timing simulator or the idealized
  *  list scheduler (Sec. 2.2). */
 enum class CellMode

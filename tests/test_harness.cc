@@ -199,12 +199,10 @@ TEST(FigureGrid, AveragesAndFormats)
     EXPECT_NE(s.find("-"), std::string::npos);
 }
 
-TEST(ReportMath, MeanAndGeomean)
+TEST(ReportMath, Mean)
 {
     EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
     EXPECT_DOUBLE_EQ(mean({}), 0.0);
-    EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-9);
-    EXPECT_DOUBLE_EQ(geomean({}), 0.0);
 }
 
 } // anonymous namespace

@@ -2,7 +2,8 @@
  * @file
  * Tests for the columnar v2 trace store: round-trip fidelity,
  * streaming-writer equivalence, the pipelined streaming build (every
- * proxy and chunk size, writer failures), the simulation-only build
+ * proxy and chunk size, writer failures, peak memory of a chunk ring
+ * rather than the trace), the simulation-only build
  * that shares its chunk loop (across the one-chunk threshold, inside
  * sweep workers, refused by the store and the build passes), region
  * extraction, the column-view simulation path, phased runs,
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <span>
 #include <string>
 #include <vector>
@@ -327,6 +329,64 @@ TEST(TraceStoreDeath, BuildTraceStoreFileStopsWhenAWriteFailsPartway)
                 ::testing::ExitedWithCode(0),
                 "ok=0 instructions=" + std::to_string(whole * chunk) +
                     "\n");
+    std::remove(path.c_str());
+}
+
+/** This process's peak resident set: VmHWM in /proc/self/status (0
+ *  when it cannot be read). */
+std::uint64_t
+residentHighWaterBytes()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    unsigned long long kib = 0;
+    while (std::getline(status, line))
+        if (std::sscanf(line.c_str(), "VmHWM: %llu kB", &kib) == 1)
+            return static_cast<std::uint64_t>(kib) * 1024;
+    return 0;
+}
+
+/** Death-test child: stream-build `instructions` gcc instructions and
+ *  exit 0 only if the build succeeded and VmHWM grew by less than
+ *  `budget` bytes. */
+[[noreturn]] void
+streamBuildWithinBudget(std::uint64_t instructions, std::uint64_t budget,
+                        const std::string &path)
+{
+    const std::uint64_t before = residentHighWaterBytes();
+    WorkloadConfig cfg;
+    cfg.targetInstructions = instructions;
+    cfg.seed = 1;
+    const TraceStoreBuildResult built =
+        buildTraceStoreFile("gcc", cfg, path);
+    const std::uint64_t grew = residentHighWaterBytes() - before;
+    std::fprintf(stderr, "ok=%d VmHWM %llu KiB, grew %llu KiB of %llu\n",
+                 built.ok ? 1 : 0,
+                 static_cast<unsigned long long>(before >> 10),
+                 static_cast<unsigned long long>(grew >> 10),
+                 static_cast<unsigned long long>(budget >> 10));
+    std::_Exit(built.ok && grew < budget ? 0 : 1);
+}
+
+TEST(TraceStore, StreamBuildHoldsChunksNotTheTrace)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory and quarantine count "
+                    "toward VmHWM";
+#endif
+    if (residentHighWaterBytes() == 0)
+        GTEST_SKIP() << "no VmHWM in /proc/self/status";
+    // buildTraceStoreFile holds three chunk buffers, not the trace
+    // (registry.hh): 2^20 instructions must raise the peak resident set
+    // by less than half of the whole trace at 47 B/inst. The child is a
+    // fork, whose VmHWM starts at its current resident set, so the
+    // peaks of earlier tests in this binary do not count.
+    constexpr std::uint64_t instructions = 1u << 20;
+    const std::string path = tempPath("streampeak");
+    EXPECT_EXIT(streamBuildWithinBudget(
+                    instructions,
+                    Trace::bytesPerInstruction * instructions / 2, path),
+                ::testing::ExitedWithCode(0), "ok=1");
     std::remove(path.c_str());
 }
 

@@ -21,8 +21,7 @@ Schema (see src/harness/json_report.hh, docs/SCHEMA.md and README
     "scalars": {"<name>": <number>, ...},
     "runs":    [{"label": str, "stats": {name: num | distribution},
                  "phases": [...],                # phased runs
-                 "intervals": {...},             # profiled runs
-                 "host": {...}}],                # measured runs
+                 "intervals": {...}}],           # profiled runs
     "host":    {...}                             # optional
   }
 
@@ -34,10 +33,10 @@ between otherwise-identical runs); the rest — including the trace
 content hashes — belongs to the report's deterministic region.
 
 A run entry carries no key outside {"label", "stats", "phases",
-"intervals", "host"}; any other (a stale report's "adaptive" block,
-say) fails with one line naming it. So does a key repeated within one
-object (two scalars of one name, say), which json.load would collapse
-to the last value without a word.
+"intervals"}; any other (a stale report's "adaptive" or per-run
+"host" block, say) fails with one line naming it. So does a key
+repeated within one object (two scalars of one name, say), which
+json.load would collapse to the last value without a word.
 
 A run's "phases" list (present on runs with warmup/measure phases
 or region sampling) holds {"name": str, "isWarmup": bool,
@@ -55,16 +54,13 @@ carries "start", "cycles", a "cpiStack" object whose component values
 must sum exactly to "cycles", event counters and a "clusters" lane
 array.
 
-The host blocks carry the simulator's own cost. A run's "host" is
-{"wallSeconds" > 0, "instructions": uint, "hostMips" > 0 when
-instructions were counted, "peakRssBytes": uint}. The top-level
-"host" adds memory samples and a "timerTree" of
+The top-level "host" block carries the simulator's own cost: wall
+seconds, "measuredInstructions" > 0 and "hostMips" > 0, memory
+samples and a "timerTree" of
 {"name", "calls", "ns", "instructions", "mips", "children"} nodes in
 which every node's children's ns must sum to at most the node's own
-ns and children are sorted by name. --require-host makes the
-top-level host block (and at least one per-run host block) mandatory,
-the hard check applied to committed BENCH_*.json baselines. Exits
-non-zero on the first malformed report.
+ns and children are sorted by name. --require-host makes that block
+mandatory. Exits non-zero on the first malformed report.
 """
 
 import argparse
@@ -186,23 +182,7 @@ def check_phases(where, phases):
 
 
 # Every key a run entry may carry; "label" and "stats" are required.
-RUN_KEYS = {"label", "stats", "phases", "intervals", "host"}
-
-
-def check_run_host(where, h):
-    require(isinstance(h, dict), f"{where}: not an object")
-    require(set(h.keys()) == {"wallSeconds", "instructions",
-                              "hostMips", "peakRssBytes"},
-            f"{where}: keys {sorted(h.keys())} are not the run-host "
-            f"schema")
-    check_number(h["wallSeconds"], f"{where}.wallSeconds")
-    require(h["wallSeconds"] > 0, f"{where}.wallSeconds must be > 0")
-    check_uint(h["instructions"], f"{where}.instructions")
-    check_number(h["hostMips"], f"{where}.hostMips")
-    if h["instructions"] > 0:
-        require(h["hostMips"] > 0, f"{where}.hostMips must be > 0 "
-                f"when instructions were counted")
-    check_uint(h["peakRssBytes"], f"{where}.peakRssBytes")
+RUN_KEYS = {"label", "stats", "phases", "intervals"}
 
 
 def check_timer_node(where, node):
@@ -236,9 +216,9 @@ def check_host(where, h):
     check_number(h.get("hostMips"), f"{where}.hostMips")
     check_uint(h.get("measuredInstructions"),
                f"{where}.measuredInstructions")
-    if h["measuredInstructions"] > 0:
-        require(h["hostMips"] > 0, f"{where}.hostMips must be > 0 "
-                f"when instructions were measured")
+    require(h["measuredInstructions"] > 0,
+            f"{where}.measuredInstructions must be > 0")
+    require(h["hostMips"] > 0, f"{where}.hostMips must be > 0")
     for k in ("peakRssBytes", "currentRssBytes", "heapBytes",
               "heapHighWaterBytes"):
         check_uint(h.get(k), f"{where}.{k}")
@@ -375,8 +355,6 @@ def check_report(path, min_stats, require_host=False):
             check_phases(f"runs[{i}].phases", run["phases"])
         if "intervals" in run:
             check_intervals(f"runs[{i}].intervals", run["intervals"])
-        if "host" in run:
-            check_run_host(f"runs[{i}].host", run["host"])
 
     require("provenance" in d, "schemaVersion 7 requires a "
             "'provenance' block")
@@ -386,8 +364,6 @@ def check_report(path, min_stats, require_host=False):
         check_host("host", d["host"])
     if require_host:
         require("host" in d, "--require-host: no top-level host block")
-        require(any("host" in run for run in d["runs"]),
-                "--require-host: no run carries a host block")
 
     return len(d["grids"]), len(d["runs"]), len(d["scalars"])
 
@@ -398,7 +374,8 @@ def main():
                     help="minimum stats required per simulated run "
                          "entry (the traceCache entry is exempt)")
     ap.add_argument("--require-host", action="store_true",
-                    help="fail unless host blocks are present")
+                    help="fail unless the top-level host block is "
+                         "present")
     ap.add_argument("reports", nargs="+")
     args = ap.parse_args()
 

@@ -2,14 +2,15 @@
 """Regression tests for check_bench_json.py (run by ctest).
 
 The validator accepts only schema version 7, the one the report writer
-emits: a minimal v7 report and the committed BENCH_throughput.json
-(under --require-host, as CI checks it) pass; an older version or a v7
-report without its provenance block fails with a one-line diagnostic,
-never a traceback. A run entry carrying a key the writer no longer
-emits (the dropped "adaptive" block) fails the same way, as does a key
-repeated within one object. A host block may read 0 MIPS only when it
-measured no instructions. Everything here drives the script as a
-subprocess, exactly as CI does.
+emits: a minimal v7 report passes, and under --require-host (as CI
+checks bench_paper's report) only with its top-level host block; an
+older version or a v7 report without its provenance block fails with a
+one-line diagnostic, never a traceback. A run entry carrying a block
+the writer no longer emits (the dropped "adaptive" and per-run "host"
+blocks) fails the same way, as does a key repeated within one object.
+A host block that measured no instructions, or reads 0 MIPS, fails
+too. Everything here drives the script as a subprocess, exactly as CI
+does.
 """
 
 import json
@@ -21,7 +22,6 @@ import unittest
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 CHECKER = os.path.join(TOOLS, "check_bench_json.py")
-BASELINE = os.path.join(os.path.dirname(TOOLS), "BENCH_throughput.json")
 
 
 def minimal_report(version=7, provenance=True):
@@ -65,23 +65,34 @@ class CheckBenchJsonTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("OK", proc.stdout)
 
-    def test_committed_baseline_passes_require_host(self):
-        proc = self.check(BASELINE, "--require-host")
+    def test_require_host_needs_top_level_block(self):
+        proc = self.check_report(self.with_host(1000, 0.004),
+                                 "--require-host")
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        proc = self.check_report(minimal_report(), "--require-host")
+        self.assertCleanFailure(proc, "no top-level host block")
 
     def test_run_with_adaptive_block_fails(self):
-        # A well-formed block as the writer used to emit it: stale
+        # Well-formed blocks as the writer used to emit them: stale
         # reports must not pass silently.
-        d = minimal_report()
-        d["runs"][0]["adaptive"] = {
-            "runs": 1, "intervals": 4, "transitions": 1, "reverts": 0,
-            "phases": {"smooth": 4, "memory": 0, "steer": 0,
-                       "imbalance": 0, "contention": 0},
-            "finalKnobs": {"stallThreshold": 0.3, "locLowCutoff": 2,
-                           "pressure": 0.75}}
-        proc = self.check_report(d)
-        self.assertCleanFailure(proc, "key 'adaptive' is not in the run "
-                                      "schema")
+        dropped = {
+            "adaptive": {
+                "runs": 1, "intervals": 4, "transitions": 1,
+                "reverts": 0,
+                "phases": {"smooth": 4, "memory": 0, "steer": 0,
+                           "imbalance": 0, "contention": 0},
+                "finalKnobs": {"stallThreshold": 0.3,
+                               "locLowCutoff": 2, "pressure": 0.75}},
+            "host": {"wallSeconds": 0.25, "instructions": 1000,
+                     "hostMips": 0.004, "peakRssBytes": 1 << 20},
+        }
+        for key, block in dropped.items():
+            with self.subTest(key=key):
+                d = minimal_report()
+                d["runs"][0][key] = block
+                proc = self.check_report(d)
+                self.assertCleanFailure(
+                    proc, f"key '{key}' is not in the run schema")
 
     def test_duplicated_scalar_fails(self):
         # json.dump cannot repeat a key, so the text is spliced.
@@ -140,10 +151,10 @@ class CheckBenchJsonTest(unittest.TestCase):
                           "children": []}}
         return d
 
-    def test_host_without_measured_instructions_may_read_zero_mips(self):
-        # A bench that simulates nothing measures 0 MIPS.
+    def test_host_without_measured_instructions_fails(self):
         proc = self.check_report(self.with_host(0, 0))
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertCleanFailure(proc, "host.measuredInstructions must "
+                                      "be > 0")
 
     def test_host_with_measured_instructions_needs_mips(self):
         proc = self.check_report(self.with_host(1000, 0))
